@@ -6,16 +6,15 @@ bases into ``Ubig``/``Vbig`` turns the factorization into a handful of
 *batched* kernel launches per tree level, which a GPU executes at high
 efficiency.  This example makes that schedule visible — with every solver
 constructed through ``repro.build_operator`` and a ``SolverConfig``, so
-variant / pivoting / stream choices are plain configuration:
+pivoting and dispatch choices are plain configuration:
 
-* it factorizes the same HODLR matrix with the flat (per-block LAPACK) and
-  the batched schedule,
-* prints the recorded kernel trace — launch counts, batch sizes, flops —
-  level by level,
+* it factorizes a HODLR matrix with the batched schedule and prints the
+  recorded kernel trace — launch counts, batch sizes, flops — level by
+  level,
 * prices the trace on the V100-like and Xeon-like device models, showing
   how the modeled speedup grows with the problem size (the shape of Fig. 5),
-* compares stream dispatch and pivoting choices for the top levels (the
-  ablations of section III-C).
+* compares the pivoted and unpivoted K formulations (the ablation of
+  section III-C).
 
 Run with:  python examples/gpu_execution_model.py   (REPRO_SMOKE=1 for a small run)
 """
@@ -99,8 +98,7 @@ def main(smoke: bool = SMOKE) -> None:
     A = structured_matrix(n)
     assembled = repro.api.assemble(A, CONFIG)     # compress once, factorize per config
     for label, overrides in [
-        ("streams for top levels (cutoff 4)", dict(stream_cutoff=4)),
-        ("pure batched kernels (cutoff 0)", dict(stream_cutoff=0)),
+        ("partial pivoting in K solves", dict(pivot=True)),
         ("no pivoting in K solves", dict(pivot=False)),
     ]:
         s = repro.build_operator(assembled, config=CONFIG.replace(**overrides)).factorize()

@@ -62,9 +62,6 @@ from .core.apply_plan import ApplyPlan
 from .core.factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .core.hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
 from .core.bigdata import BigMatrices
-from .core.factor_recursive import RecursiveFactorization
-from .core.factor_flat import FlatFactorization
-from .core.factor_batched import BatchedFactorization
 from .core.solver import (
     HODLRSolver,
     available_solver_variants,
@@ -130,6 +127,7 @@ from .bie.proxy import ProxyCompressionConfig, build_hodlr_proxy
 from .baselines.dense_lu import DenseLUSolver
 from .baselines.hodlrlib_cpu import HODLRlibStyleSolver
 from .baselines.block_sparse import BlockSparseSolver
+from .baselines.recursive import RecursiveFactorization
 
 from .elliptic.grid import RegularGrid2D
 from .elliptic.poisson import assemble_poisson_2d, poisson_manufactured_solution
@@ -223,9 +221,6 @@ __all__ = [
     "build_hodlr",
     "build_hodlr_from_dense",
     "BigMatrices",
-    "RecursiveFactorization",
-    "FlatFactorization",
-    "BatchedFactorization",
     "HODLRSolver",
     "available_solver_variants",
     "register_solver_variant",
@@ -292,6 +287,7 @@ __all__ = [
     "DenseLUSolver",
     "HODLRlibStyleSolver",
     "BlockSparseSolver",
+    "RecursiveFactorization",
     # elliptic PDE substrate
     "RegularGrid2D",
     "assemble_poisson_2d",

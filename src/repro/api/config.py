@@ -51,11 +51,12 @@ from ..core.solver import available_solver_variants
 #: compression methods the facade accepts (``proxy`` needs a BIE-style operator)
 COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 
-#: built-in factorization variants (mirrors ``repro.core.solver._VARIANTS``);
-#: registered baseline variants (``dense_lu``, ``block_sparse``,
-#: ``hodlrlib_cpu``, ...) are additionally accepted — see
+#: built-in factorization variants (mirrors ``repro.core.solver._VARIANTS``:
+#: two names for the one compiled-plan engine); registered variants
+#: (``recursive``, ``dense_lu``, ``block_sparse``, ``hodlrlib_cpu``, ...)
+#: are additionally accepted — see
 #: :func:`repro.core.solver.register_solver_variant`
-VARIANTS = ("recursive", "flat", "batched")
+VARIANTS = ("flat", "batched")
 
 #: HODLR construction schedules: level-major batched, per-block loop, or
 #: matvec-only randomized peeling (no entry evaluation — see
@@ -202,7 +203,8 @@ class SolverConfig:
     Parameters
     ----------
     variant:
-        ``"recursive"``, ``"flat"``, or ``"batched"`` (default).
+        ``"batched"`` (default) or its alias ``"flat"``, or a registered
+        variant such as ``"recursive"`` or ``"dense_lu"``.
     backend:
         Name of a registered :class:`~repro.backends.dispatch.ArrayBackend`
         (``"numpy"``, ``"cupy"``, or anything added via
@@ -217,10 +219,8 @@ class SolverConfig:
         problem's natural dtype.  NumPy dtype objects are normalised to
         their canonical name.
     pivot:
-        Partial pivoting in the reduced ``K`` systems (batched variant).
-    stream_cutoff:
-        Node-count threshold below which the batched variant dispatches on
-        emulated CUDA streams.
+        Partial pivoting in the reduced ``K`` systems; ``False`` selects the
+        alternative formulation of section III-C.
     compression:
         Nested :class:`CompressionConfig` (accepts a dict form too).
     precision:
@@ -258,7 +258,6 @@ class SolverConfig:
     dispatch_policy: Optional[DispatchPolicy] = None
     dtype: Optional[str] = None
     pivot: bool = True
-    stream_cutoff: int = 4
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
     tuning: str = "default"
@@ -283,10 +282,6 @@ class SolverConfig:
         )
         object.__setattr__(self, "dtype", _normalize_dtype(self.dtype))
         _check(isinstance(self.pivot, bool), f"pivot must be a bool, got {self.pivot!r}")
-        _check(
-            isinstance(self.stream_cutoff, int) and self.stream_cutoff >= 0,
-            f"stream_cutoff must be a non-negative int, got {self.stream_cutoff!r}",
-        )
         if isinstance(self.compression, Mapping):
             object.__setattr__(
                 self, "compression", CompressionConfig.from_dict(self.compression)
@@ -451,7 +446,6 @@ class SolverConfig:
             else asdict(self.dispatch_policy),
             "dtype": self.dtype,
             "pivot": self.pivot,
-            "stream_cutoff": self.stream_cutoff,
             "compression": self.compression.to_dict(),
             "precision": asdict(self.precision),
             "tuning": self.tuning,

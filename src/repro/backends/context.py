@@ -207,7 +207,7 @@ class ExecutionContext:
 
     The context is the single seam threaded through construction
     (:func:`~repro.core.hodlr.build_hodlr`), factorization
-    (:class:`~repro.core.solver.HODLRSolver` and the three variants),
+    (:class:`~repro.core.solver.HODLRSolver` and its compiled plan),
     application (:class:`~repro.core.apply_plan.ApplyPlan`), and the
     :mod:`repro.api` facade — replacing the per-call ``backend=`` /
     ``dispatch_policy=`` plumbing.

@@ -577,7 +577,7 @@ class CupyBackend:
 
     The batched kernels are expressed through the same vectorised helpers
     as the NumPy backend, so registering this class is all that is needed
-    for the factorization variants to run on a CUDA device.  Constructing
+    for the compiled factorization plan to run on a CUDA device.  Constructing
     it without ``cupy`` installed raises :class:`BackendUnavailableError`;
     the registry treats that as "not available" rather than an error.
     """

@@ -1,5 +1,8 @@
-"""Baseline solvers the paper compares against.
+"""Baseline solvers the paper compares against, and the reference recursion.
 
+* :mod:`recursive`    — the textbook per-node recursion of section III-A,
+  the reference oracle for the compiled plan of
+  :class:`~repro.core.solver.HODLRSolver`;
 * :mod:`dense_lu`     — classical dense LU (the O(N^3) reference the paper's
   introduction rules out for large N);
 * :mod:`hodlrlib_cpu` — a HODLRlib-style CPU solver: the same recursive
@@ -9,10 +12,11 @@
   solved with a sparse direct solver (the "Serial/Parallel Block-Sparse
   Solver" columns).
 
-All three are registered as solver *variants*
+All four are registered as solver *variants*
 (:func:`repro.core.solver.register_solver_variant`), so the paper-table
-comparisons run through the same facade as the HODLR solvers::
+comparisons run through the same facade as the HODLR solver::
 
+    repro.solve("gaussian_kernel", config=SolverConfig(variant="recursive"))
     repro.solve("gaussian_kernel", config=SolverConfig(variant="dense_lu"))
     repro.solve(problem, config=SolverConfig(variant="block_sparse"))
 """
@@ -21,6 +25,14 @@ from ..core.solver import register_solver_variant
 from .dense_lu import DenseLUSolver
 from .hodlrlib_cpu import HODLRlibStyleSolver
 from .block_sparse import BlockSparseSolver, extended_sparse_system
+from .recursive import RecursiveFactorization
+
+
+def _recursive_variant(hodlr, solver):
+    """``variant="recursive"``: the per-node recursion of section III-A."""
+    return RecursiveFactorization(
+        hodlr=hodlr, backend=solver.backend.array_backend
+    ).factorize()
 
 
 def _dense_lu_variant(hodlr, solver):
@@ -45,11 +57,13 @@ def _hodlrlib_cpu_variant(hodlr, solver):
     return impl
 
 
+register_solver_variant("recursive", _recursive_variant)
 register_solver_variant("dense_lu", _dense_lu_variant)
 register_solver_variant("block_sparse", _block_sparse_variant)
 register_solver_variant("hodlrlib_cpu", _hodlrlib_cpu_variant)
 
 __all__ = [
+    "RecursiveFactorization",
     "DenseLUSolver",
     "HODLRlibStyleSolver",
     "BlockSparseSolver",

@@ -11,7 +11,7 @@ kernel-matrix benchmark (Table III), and its single-core execution is the
 This module reimplements that execution model:
 
 * the numerics are the recursive factorization of
-  :class:`~repro.core.factor_recursive.RecursiveFactorization` (so solutions
+  :class:`~repro.baselines.recursive.RecursiveFactorization` (so solutions
   agree with the GPU solver to round-off), and
 * an analytic CPU cost model reproduces the timing behaviour: per-node
   flops are priced on a single-core spec, per-level times are divided by
@@ -30,8 +30,8 @@ import numpy as np
 
 from ..backends.counters import gemm_flops, getrf_flops, getrs_flops
 from ..backends.device import DeviceSpec, CPU_XEON_6254_SINGLE_CORE
-from ..core.factor_recursive import RecursiveFactorization
 from ..core.hodlr import HODLRMatrix
+from .recursive import RecursiveFactorization
 
 
 @dataclass
@@ -76,16 +76,8 @@ class HODLRlibStyleSolver:
     # numerics (shared with the core recursive factorization)
     # ------------------------------------------------------------------
     def factorize(self) -> "HODLRlibStyleSolver":
-        from ..backends.context import ExecutionContext
-        from ..backends.dispatch import LOOP_POLICY
-
         t0 = time.perf_counter()
-        # this baseline emulates HODLRlib's per-node CPU schedule, so it must
-        # not emit (or solve through) the shared compiled FactorPlan — the
-        # loop policy keeps the textbook recursion
-        self._impl = RecursiveFactorization(
-            hodlr=self.hodlr, context=ExecutionContext(policy=LOOP_POLICY)
-        ).factorize()
+        self._impl = RecursiveFactorization(hodlr=self.hodlr).factorize()
         self.factor_seconds = time.perf_counter() - t0
         return self
 
@@ -93,7 +85,7 @@ class HODLRlibStyleSolver:
         if self._impl is None:
             raise RuntimeError("call factorize() first")
         t0 = time.perf_counter()
-        x = self._impl.solve(b, use_plan=False)
+        x = self._impl.solve(b)
         self.solve_seconds = time.perf_counter() - t0
         return x
 

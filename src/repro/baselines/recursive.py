@@ -4,8 +4,9 @@ This is the reference algorithm: it mirrors the recursion of equations
 (6)-(9) directly on the tree, one node at a time, with ordinary (non
 batched) LAPACK calls.  It is used
 
-* as the correctness oracle for the flat and batched variants (all three
-  must produce the same solutions up to round-off), and
+* as the correctness oracle for the compiled plan of
+  :class:`~repro.core.solver.HODLRSolver` (both must produce the same
+  solutions up to round-off; registered as ``variant="recursive"``), and
 * as the computational core of the HODLRlib-style CPU baseline
   (:mod:`repro.baselines.hodlrlib_cpu`), which executes exactly this
   per-node schedule.
@@ -18,14 +19,6 @@ Factorization stage (per node, bottom-up):
       reduced matrix ``K_gamma`` of equation (11).
 
 Solution stage (per right-hand side): the recursion of equation (8).
-
-Since PR 5 the traversal additionally **emits plan nodes**: after the
-per-node factors are computed, :func:`~repro.core.factor_plan.
-emit_factor_plan` packs the solved bases and reduced systems into the same
-:class:`~repro.core.factor_plan.FactorPlan` storage the flat and batched
-variants use, and :meth:`RecursiveFactorization.solve` replays the shared
-compiled :class:`~repro.core.factor_plan.SolvePlan` instead of recursing
-per right-hand side (``use_plan=False`` keeps the textbook recursion).
 """
 
 from __future__ import annotations
@@ -35,11 +28,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backends.context import ExecutionContext, resolve_context
 from ..backends.dispatch import ArrayBackend, get_backend
-from .cluster_tree import TreeNode
-from .factor_plan import FactorPlan, SolvePlan, emit_factor_plan
-from .hodlr import HODLRMatrix
+from ..core.cluster_tree import TreeNode
+from ..core.factor_plan import _lu_slogdet
+from ..core.hodlr import HODLRMatrix
 
 
 @dataclass
@@ -49,57 +41,26 @@ class RecursiveFactorization:
     hodlr: HODLRMatrix
     #: array backend executing the per-node LU factorizations and solves
     backend: Optional[ArrayBackend] = None
-    #: execution context (backend + policy + precision); the backend above
-    #: is merged into it when both are given
-    context: Optional[ExecutionContext] = None
     #: leaf index -> (lu, piv) of the dense diagonal block
     leaf_lu: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     #: non-leaf index -> (lu, piv) of K_gamma (equation (11))
     k_lu: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     #: non-root index -> Y_alpha = A_alpha^{-1} U_alpha
     Y: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: non-leaf index -> (Va* Y_left, Vb* Y_right), the K diagonal blocks —
-    #: kept so plan emission reuses them instead of recomputing the gemms
-    T: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     factored: bool = False
-    #: the shared compiled plan emitted from the traversal (None when the
-    #: policy disables bucketing)
-    _plan: Optional[FactorPlan] = field(default=None, repr=False)
-    _solve_plan: Optional[SolvePlan] = field(default=None, repr=False)
 
     def _backend(self) -> ArrayBackend:
         if self.backend is None:
             self.backend = get_backend("numpy")
         return self.backend
 
-    def _context(self) -> ExecutionContext:
-        ctx = resolve_context(self.context, self.backend, None)
-        self.backend = ctx.backend
-        return ctx
-
-    @property
-    def factor_plan(self) -> Optional[FactorPlan]:
-        return self._plan
-
-    @property
-    def solve_plan(self) -> Optional[SolvePlan]:
-        return self._solve_plan
-
     # ------------------------------------------------------------------
     # factorization
     # ------------------------------------------------------------------
     def factorize(self) -> "RecursiveFactorization":
         """Run the factorization stage; returns ``self`` for chaining."""
-        tree = self.hodlr.tree
-        self._factor_node(tree.root)
+        self._factor_node(self.hodlr.tree.root)
         self.factored = True
-        ctx = self._context()
-        if ctx.policy.bucketing:
-            # emit the traversal's per-node factors as packed plan storage
-            self._plan = emit_factor_plan(
-                self.hodlr, self.Y, self.leaf_lu, T=self.T, context=ctx
-            )
-            self._solve_plan = self._plan.solve_plan()
         return self
 
     def _factor_node(self, node: TreeNode) -> None:
@@ -131,7 +92,6 @@ class RecursiveFactorization:
         dtype = np.result_type(Y_left.dtype, Vb.dtype)
         Ta = Va.conj().T @ Y_left
         Tb = Vb.conj().T @ Y_right
-        self.T[node.index] = (Ta, Tb)
         K = xb.zeros((r1 + r2, r1 + r2), dtype=dtype)
         K[:r2, :r1] = Ta
         K[:r2, r1:] = xb.eye(r2, dtype=dtype)
@@ -188,17 +148,11 @@ class RecursiveFactorization:
     # ------------------------------------------------------------------
     # solution
     # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray, use_plan: bool = True) -> np.ndarray:
-        """Solve ``A x = b`` (``b`` may hold multiple right-hand sides).
-
-        Replays the emitted :class:`~repro.core.factor_plan.SolvePlan` when
-        available; ``use_plan=False`` runs the per-node recursion of
-        equation (8) instead (the reference path).
-        """
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` (``b`` may hold multiple right-hand sides) with
+        the per-node recursion of equation (8)."""
         if not self.factored:
             raise RuntimeError("call factorize() before solve()")
-        if use_plan and self._solve_plan is not None:
-            return self._solve_plan.solve(b)
         b = np.asarray(b)
         if b.shape[0] != self.hodlr.n:
             raise ValueError(
@@ -259,14 +213,3 @@ class RecursiveFactorization:
         total += sum(v.nbytes for v in self.hodlr.V.values())
         return int(total)
 
-
-def _lu_slogdet(lu: np.ndarray, piv: np.ndarray) -> Tuple[complex, float]:
-    """Sign/phase and log-magnitude of the determinant from a packed LU."""
-    diag = np.diag(lu)
-    logabs = float(np.sum(np.log(np.abs(diag))))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    sign = np.prod(phases)
-    nswaps = int(np.sum(piv != np.arange(piv.size)))
-    sign = sign * ((-1.0) ** nswaps)
-    return sign, logabs

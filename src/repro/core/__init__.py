@@ -7,11 +7,8 @@ Layout of the subpackage (bottom-up):
 * :mod:`compression`      -- SVD / rook-pivoted LU / randomized compression.
 * :mod:`hodlr`            -- Definition 2: the HODLR matrix container.
 * :mod:`bigdata`          -- the paper's concatenated ``Ubig/Vbig/Dbig/Kbig`` layout.
-* :mod:`factor_recursive` -- section III-A recursive factorization (reference).
-* :mod:`factor_flat`      -- Algorithms 1 & 2 (non-recursive level loops).
-* :mod:`factor_batched`   -- Algorithms 3 & 4 (batched "GPU" kernels).
+* :mod:`factor_plan`      -- Algorithms 1-4 as one compiled, packed factor/solve plan.
 * :mod:`solver`           -- user-facing :class:`HODLRSolver`.
-* :mod:`determinant`      -- determinant / log-determinant via the factorization.
 * :mod:`spd`              -- symmetric factorization of SPD HODLR matrices.
 * :mod:`preconditioner`   -- use of low-accuracy factorizations inside GMRES/CG.
 """
@@ -29,14 +26,10 @@ from .compression import (
     randomized_compress_batched,
 )
 from .apply_plan import ApplyPlan
-from .factor_plan import FactorPlan, SolvePlan, build_factor_plan, emit_factor_plan
+from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
 from .bigdata import BigMatrices
-from .factor_recursive import RecursiveFactorization
-from .factor_flat import FlatFactorization
-from .factor_batched import BatchedFactorization
 from .solver import HODLRSolver
-from .determinant import logdet_from_factorization
 from .spd import SymmetricFactorization
 from .preconditioner import HODLRPreconditioner, gmres_with_hodlr, cg_with_hodlr
 from .arithmetic import (
@@ -74,16 +67,11 @@ __all__ = [
     "FactorPlan",
     "SolvePlan",
     "build_factor_plan",
-    "emit_factor_plan",
     "HODLRMatrix",
     "build_hodlr",
     "build_hodlr_from_dense",
     "BigMatrices",
-    "RecursiveFactorization",
-    "FlatFactorization",
-    "BatchedFactorization",
     "HODLRSolver",
-    "logdet_from_factorization",
     "SymmetricFactorization",
     "HODLRPreconditioner",
     "gmres_with_hodlr",

@@ -2,9 +2,10 @@
 
 PR 3 compiled the HODLR *matvec* into :class:`~repro.core.apply_plan.
 ApplyPlan`; this module does the same for the *factorization* and its
-triangular-solve sweeps.  The three factorization variants used to be three
-divergent code paths that re-walked the tree and re-bucketed blocks on
-every solve; they now lower onto one common backend:
+triangular-solve sweeps.  It is the one factorization engine:
+:class:`~repro.core.solver.HODLRSolver` builds a plan at factorization
+time and replays it on every solve, with no tree walk and no per-solve
+re-bucketing.
 
 :class:`FactorPlan`
     Per-level shape-bucketed strided 3-D storage of everything Algorithm 2
@@ -13,8 +14,7 @@ every solve; they now lower onto one common backend:
     ``Y``/``V^*`` bases driving the Schur-update gemms.  Built through the
     dispatch layer by :func:`build_factor_plan` (which *is* Algorithm 1,
     executed packed: one getrf/getrs/gemm launch per shape bucket per
-    level), or emitted from the recursive traversal by
-    :func:`emit_factor_plan`.
+    level).
 
 :class:`SolvePlan`
     The compiled forward/backward sweep over that storage:
@@ -39,10 +39,13 @@ Memory
 ------
 Like :class:`~repro.core.apply_plan.ApplyPlan`, the plan stores packed
 *copies* of the solved bases (the ``Y3``/``Vh3`` stacks) next to the
-``Ybig``/``Vbig`` they were gathered from — the concatenated arrays stay
-alive for the ``use_plan=False`` fallback sweep and the per-node views, so
-a compiled factorization holds roughly one extra copy of the basis
-storage.  ``factorization_nbytes`` reports the full resident footprint.
+``Ybig``/``Vbig`` they were gathered from.  The plan keeps ``Ybig``
+because :func:`patch_factor_plan` seeds a patched factorization from it,
+and :class:`~repro.core.solver.HODLRSolver` keeps the packed matrix
+(``Vbig``) next to the plan, so a compiled factorization holds roughly
+one extra copy of the basis storage.
+``HODLRSolver.stats.factorization_bytes`` reports the full resident
+footprint.
 
 Pad-to-bucket LU packing
 ------------------------
@@ -156,6 +159,19 @@ def _getrs_packed(xb, pol, lu3, piv3, rhs3, pivot: bool = True):
     return x3
 
 
+def _lu_slogdet(lu: np.ndarray, piv: np.ndarray) -> Tuple[complex, float]:
+    """Sign/phase and log-magnitude of the determinant from a packed LU
+    (host arrays: callers download the factors first)."""
+    diag = np.diag(lu)  # repro-lint: ignore[RL001] -- slogdet is host-side analysis on factors already downloaded by the caller
+    logabs = float(np.sum(np.log(np.abs(diag))))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
+    sign = np.prod(phases)
+    nswaps = int(np.sum(piv != np.arange(piv.size, dtype=np.int64)))
+    sign = sign * ((-1.0) ** nswaps)
+    return sign, logabs
+
+
 # ======================================================================
 # plan storage
 # ======================================================================
@@ -204,10 +220,10 @@ class _LevelSweep:
     k_lu3: np.ndarray
     #: (ngamma, 2r) pivots
     k_piv3: np.ndarray
-    buckets: List[_SweepBucket] = field(default_factory=list)
     #: (nchild, r, r) unfactored K diagonal blocks ``T = V^* Y`` retained for
     #: plan patching (clean children reuse these, dirty ones recompute)
-    T3: Optional[np.ndarray] = None
+    T3: np.ndarray
+    buckets: List[_SweepBucket] = field(default_factory=list)
 
     @property
     def nchild(self) -> int:
@@ -218,7 +234,7 @@ class _LevelSweep:
         return int(
             self.k_lu3.nbytes
             + self.k_piv3.nbytes
-            + (self.T3.nbytes if self.T3 is not None else 0)
+            + self.T3.nbytes
             + sum(b.nbytes for b in self.buckets)
         )
 
@@ -242,9 +258,7 @@ class FactorPlan:
     """Packed, precision-aware storage of one HODLR factorization.
 
     Instances come from :func:`build_factor_plan` (the packed Algorithm 1)
-    or :func:`emit_factor_plan` (the recursive traversal's emission); all
-    three solver variants store their factors here and solve through
-    :class:`SolvePlan`.
+    or :func:`patch_factor_plan`; solves run through :class:`SolvePlan`.
     """
 
     def __init__(
@@ -255,9 +269,9 @@ class FactorPlan:
         pivot: bool,
         leaf_buckets: List[_LeafBucket],
         sweeps: List[_LevelSweep],
-        Ybig: Optional[np.ndarray] = None,
-        level_ranks: Optional[List[int]] = None,
-        col_offsets: Optional[List[int]] = None,
+        Ybig: np.ndarray,
+        level_ranks: List[int],
+        col_offsets: List[int],
     ) -> None:
         self.tree = tree
         self.n: int = tree.n
@@ -270,13 +284,11 @@ class FactorPlan:
         self.leaf_buckets = leaf_buckets
         #: deepest level first — the order the backward sweep consumes them
         self.sweeps = sweeps
-        #: the solved bases in concatenated layout (``None`` for plans
-        #: emitted from the recursive traversal, which has no Ybig)
+        #: the solved bases in concatenated layout and its column layout;
+        #: patching needs both to splice old solved bases into a new layout
         self.Ybig = Ybig
-        #: the Ybig column layout (``None`` when Ybig is absent); patching
-        #: needs both to splice old solved bases into a new layout
-        self.level_ranks = list(level_ranks) if level_ranks is not None else None
-        self.col_offsets = list(col_offsets) if col_offsets is not None else None
+        self.level_ranks = list(level_ranks)
+        self.col_offsets = list(col_offsets)
         self.demoted: bool = False
         self.last_patch_stats: Optional[Dict[str, int]] = None
         #: the packed BigMatrices of the matrix this plan was patched from
@@ -338,7 +350,7 @@ class FactorPlan:
         return patch_factor_plan(self, hodlr, dirty_nodes)
 
     # ------------------------------------------------------------------
-    # per-node views (compatibility with the per-variant factor objects)
+    # per-leaf views (the patch reuses clean leaves' factors)
     # ------------------------------------------------------------------
     def leaf_lu_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``(lu, piv)`` of every leaf in ``tree.leaves`` order (views into
@@ -353,34 +365,6 @@ class FactorPlan:
                 out[p] = (lb.lu3[j, :m, :m], lb.piv3[j, :m])
         return out  # type: ignore[return-value]
 
-    def k_lu_views(self, level: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """The packed ``(lu3, piv3)`` K stacks of one gamma level (or ``None``)."""
-        for sw in self.sweeps:
-            if sw.level == level:
-                return sw.k_lu3, sw.k_piv3
-        return None
-
-    def k_lu_batched(self, level: int):
-        """The level's K factors as a ``BatchedLU`` of views into the packed
-        stacks (a degenerate rank-0 level yields empty factors per gamma) —
-        the compatibility surface the per-variant factor objects expose."""
-        from ..backends.batched import BatchedLU
-
-        ngamma = len(self.tree.level_nodes(level))
-        packed = self.k_lu_views(level)
-        if packed is None:
-            empty = self.context.backend.zeros((0, 0), dtype=self.dtype)
-            empty_piv = np.empty(0, dtype=np.int64)
-            return BatchedLU(
-                lu=[empty] * ngamma, piv=[empty_piv] * ngamma, pivot=self.pivot
-            )
-        k_lu3, k_piv3 = packed
-        return BatchedLU(
-            lu=[k_lu3[g] for g in range(ngamma)],
-            piv=[k_piv3[g] for g in range(ngamma)],
-            pivot=self.pivot,
-        )
-
     # ------------------------------------------------------------------
     # determinant
     # ------------------------------------------------------------------
@@ -390,8 +374,6 @@ class FactorPlan:
         Identity-bordered padding contributes ``log 1 = 0`` and no row
         swaps, so padded stacks need no special casing.
         """
-        from .factor_recursive import _lu_slogdet
-
         xb = self.context.backend
         sign: complex = 1.0
         logabs = 0.0
@@ -581,9 +563,9 @@ def build_factor_plan(
     :class:`FactorPlan`.
 
     Per shape bucket per level this issues one getrf, one getrs, and a
-    handful of strided gemms through the dispatch layer — the flat and
-    batched variants are thin scheduling wrappers around this builder (the
-    batched one adds trace recording and transfer accounting around it).
+    handful of strided gemms through the dispatch layer.
+    :meth:`~repro.core.solver.HODLRSolver.factorize` wraps it in trace
+    recording and transfer accounting.
     """
     ctx = resolve_context(context)
     xb, pol = ctx.backend, ctx.policy
@@ -735,117 +717,6 @@ def build_factor_plan(
     )
 
 
-def emit_factor_plan(
-    hodlr,
-    Y: Dict[int, np.ndarray],
-    leaf_lu: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    T: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
-    context: Optional[ExecutionContext] = None,
-) -> FactorPlan:
-    """Pack a recursive traversal's per-node factors into a :class:`FactorPlan`.
-
-    The recursive variant keeps its per-node traversal (which computes the
-    solved bases ``Y_alpha = A_alpha^{-1} U_alpha`` and the per-leaf LU
-    factors) and *emits* plan nodes: bases are zero-padded to the level
-    rank, the reduced K systems are re-assembled in the same padded layout
-    the flat/batched builders produce, and the result solves through the
-    same compiled :class:`SolvePlan`.
-
-    ``T`` optionally supplies the traversal's per-gamma K diagonal blocks
-    ``(Va* Y_left, Vb* Y_right)`` so the emission does not recompute those
-    gemms (only the padded K LU — whose factor differs from the per-node
-    small-K factor — is computed here).
-    """
-    ctx = resolve_context(context)
-    xb, pol = ctx.backend, ctx.policy
-    tree = hodlr.tree
-    dtype = np.dtype(hodlr.dtype)
-
-    # per-level padded ranks, identical to BigMatrices.from_hodlr
-    level_ranks: List[int] = []
-    for level in range(1, tree.levels + 1):
-        ranks = [hodlr.U[i].shape[1] for i in tree.level_indices(level)]
-        ranks += [hodlr.V[i].shape[1] for i in tree.level_indices(level)]
-        level_ranks.append(int(max(ranks)) if ranks else 0)
-
-    # ---- leaves: pack the already-computed per-leaf LU factors
-    leaves = tree.leaves
-    leaf_buckets: List[_LeafBucket] = []
-    for bucket in _leaf_plan_buckets(tree, pol):
-        M = bucket.key[0]
-        members = [leaves[i] for i in bucket.indices]
-        lu3 = pad_identity_stack(
-            xb, [leaf_lu[leaf.index][0] for leaf in members], M, dtype
-        )
-        piv3 = pad_pivot_stack(
-            [leaf_lu[leaf.index][1] for leaf in members],
-            [leaf.size for leaf in members],
-            M,
-        )
-        gs = GatherScatter.from_ranges([(leaf.start, leaf.stop) for leaf in members], M)
-        leaf_buckets.append(
-            _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
-        )
-
-    # ---- levels: pad Y/V to the level rank, re-assemble K packed
-    sweeps: List[_LevelSweep] = []
-    for level in range(tree.levels - 1, -1, -1):
-        child_level = level + 1
-        r = level_ranks[child_level - 1]
-        if r == 0:
-            continue
-        children = tree.level_nodes(child_level)
-        gammas = tree.level_nodes(level)
-        nchild = len(children)
-
-        buckets: List[_SweepBucket] = []
-        T_all = None if T is not None else xb.zeros((nchild, r, r), dtype=dtype)
-        for b in _child_plan_buckets(children, r, pol):
-            M = b.key[0]
-            members = [children[i] for i in b.indices]
-            Y3 = xb.zeros((len(members), M, r), dtype=dtype)
-            V3 = xb.zeros((len(members), M, r), dtype=dtype)
-            for j, nd in enumerate(members):
-                y = Y[nd.index]
-                v = hodlr.V[nd.index]
-                Y3[j, : y.shape[0], : y.shape[1]] = y
-                V3[j, : v.shape[0], : v.shape[1]] = v
-            Vh3 = V3.transpose(0, 2, 1).conj()
-            gs = GatherScatter.from_ranges([(nd.start, nd.stop) for nd in members], M)
-            pos = np.asarray(b.indices, dtype=np.intp)
-            if T_all is not None:
-                T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
-            buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
-
-        if T is not None:
-            # the traversal already computed the K diagonal blocks: embed
-            # them in the padded layout directly, no gemm recomputation
-            eye = xb.eye(r, dtype=dtype)
-            K3 = xb.zeros((len(gammas), 2 * r, 2 * r), dtype=dtype)
-            K3[:, :r, r:] = eye
-            K3[:, r:, :r] = eye
-            for g, gamma in enumerate(gammas):
-                Ta, Tb = T[gamma.index]
-                K3[g, : Ta.shape[0], : Ta.shape[1]] = Ta
-                K3[g, r : r + Tb.shape[0], r : r + Tb.shape[1]] = Tb
-        else:
-            K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot=True)
-        k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=True)
-        sweeps.append(
-            _LevelSweep(level=level, rank=r, k_lu3=k_lu3, k_piv3=k_piv3, buckets=buckets)
-        )
-
-    return FactorPlan(
-        tree=tree,
-        dtype=dtype,
-        context=ctx,
-        pivot=True,
-        leaf_buckets=leaf_buckets,
-        sweeps=sweeps,
-        Ybig=None,
-    )
-
-
 # ======================================================================
 # incremental patching
 # ======================================================================
@@ -914,23 +785,12 @@ def patch_factor_plan(
     by the demotion error; the default policy is bit-compatible.
 
     Raises :class:`~repro.core.update.PatchUnsupportedError` when the plan
-    cannot be patched (no retained ``Ybig``/layout — e.g. plans emitted by
-    the recursive traversal — or a structural change); callers fall back to
-    a full rebuild.
+    cannot absorb a structural change (tree depth or a clean node's size);
+    callers fall back to a full rebuild.
     """
     from .bigdata import BigMatrices
     from .update import PatchUnsupportedError
 
-    if plan.Ybig is None or plan.level_ranks is None or plan.col_offsets is None:
-        raise PatchUnsupportedError(
-            "factor plan has no retained Ybig/layout metadata (emitted from the "
-            "recursive traversal); rebuild instead"
-        )
-    for sw in plan.sweeps:
-        if sw.T3 is None:
-            raise PatchUnsupportedError(
-                "factor plan lacks retained T blocks; rebuild instead"
-            )
     ctx = plan.context if context is None else resolve_context(context)
     xb, pol = ctx.backend, ctx.policy
     new_tree = hodlr.tree
@@ -1313,3 +1173,4 @@ def patch_factor_plan(
     patched.last_patch_stats = stats
     patched.bigdata = data
     return patched
+

@@ -16,21 +16,28 @@ changes, and exposes ``solve``/``logdet``/``as_preconditioner()``.
 :class:`~repro.core.hodlr.HODLRMatrix` to one factorization variant and an
 array backend, and owns the timings/diagnostics (:class:`SolveStats`).
 Instantiating it directly remains supported for low-level work
-(``HODLRSolver(H, variant="flat").factorize()``); facade code should use
+(``HODLRSolver(H).factorize()``); facade code should use
 :meth:`HODLRSolver.from_config` so all option plumbing stays in
 :class:`~repro.api.config.SolverConfig`.
 
 Variants
 --------
-``"recursive"``
-    The per-node recursion of section III-A (reference; also the engine of
-    the HODLRlib-style CPU baseline).
-``"flat"``
-    Algorithms 1 & 2: level loops over the concatenated storage with one
-    LAPACK call per block.
-``"batched"``
-    Algorithms 3 & 4: the GPU schedule on the batched backend, with kernel
-    traces available for performance modeling.
+``"batched"`` (default), alias ``"flat"``
+    The paper's Algorithms 1/2 ("flat") and 3/4 ("batched") are one
+    computation with two schedules, and both run as the compiled plan:
+    :meth:`HODLRSolver.factorize` packs the matrix into
+    :class:`~repro.core.bigdata.BigMatrices` and factorizes it with
+    :func:`~repro.core.factor_plan.build_factor_plan` (one
+    getrf/getrs/gemm launch per shape bucket per level), and every
+    :meth:`HODLRSolver.solve` replays the compiled
+    :class:`~repro.core.factor_plan.SolvePlan`.  Both record kernel traces
+    for performance modeling.
+Registered variants
+    Anything added through :func:`register_solver_variant`: the textbook
+    per-node recursion of section III-A (``"recursive"``, the tests'
+    reference oracle) and the baseline solvers (``"dense_lu"``,
+    ``"block_sparse"``, ``"hodlrlib_cpu"``), all registered by
+    :mod:`repro.baselines`.  They hold no compiled plan.
 """
 
 from __future__ import annotations
@@ -48,12 +55,11 @@ from ..backends.counters import KernelTrace, get_recorder
 from ..backends.dispatch import ArrayBackend, DispatchPolicy
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from .bigdata import BigMatrices
-from .factor_batched import BatchedFactorization
-from .factor_flat import FlatFactorization
-from .factor_recursive import RecursiveFactorization
+from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .hodlr import HODLRMatrix
 
-_VARIANTS = ("recursive", "flat", "batched")
+#: the built-in variants: two names for the one compiled-plan engine
+_VARIANTS = ("flat", "batched")
 
 #: registered non-builtin variants: ``factory(hodlr, solver) -> impl`` where
 #: ``impl`` provides at least ``solve(b)`` (``slogdet``/``logdet``/
@@ -70,10 +76,10 @@ def register_solver_variant(
 
     ``factory(hodlr, solver)`` receives the (dtype-cast) HODLR matrix and
     the owning :class:`HODLRSolver` and must return a *factorized* object
-    with ``solve(b)``.  The baseline solvers (``dense_lu``,
-    ``block_sparse``, ``hodlrlib_cpu``) register themselves through this
-    hook, so paper-table comparisons run through the same ``repro.solve``
-    facade as the HODLR variants.
+    with ``solve(b)``.  The reference recursion (``recursive``) and the
+    baseline solvers (``dense_lu``, ``block_sparse``, ``hodlrlib_cpu``)
+    register themselves through this hook, so paper-table comparisons run
+    through the same ``repro.solve`` facade as the compiled plan.
     """
     if name in _VARIANTS:
         raise ValueError(f"variant {name!r} is built in")
@@ -126,15 +132,15 @@ class HODLRSolver:
     hodlr:
         The HODLR approximation of the coefficient matrix.
     variant:
-        ``"recursive"``, ``"flat"`` or ``"batched"`` (default).
+        ``"batched"`` (default) or its alias ``"flat"``, or the name of a
+        registered variant (see :func:`available_solver_variants`).
     dtype:
         Optional dtype override; ``np.float32`` reproduces the paper's
         single-precision runs (Table IVb).
     pivot:
-        Partial pivoting in the reduced ``K`` systems (batched variant only).
-    stream_cutoff:
-        Node-count threshold below which the batched variant dispatches on
-        emulated CUDA streams.
+        Partial pivoting in the reduced ``K`` systems; ``False`` selects the
+        alternative formulation of section III-C (identities on the
+        diagonal, no pivoting needed).
     backend:
         A :class:`~repro.backends.batched.BatchedBackend` instance, an
         :class:`~repro.backends.dispatch.ArrayBackend` instance, or the
@@ -155,7 +161,6 @@ class HODLRSolver:
         variant: str = "batched",
         dtype=None,
         pivot: bool = True,
-        stream_cutoff: int = 4,
         backend: Optional[Union[str, ArrayBackend, BatchedBackend]] = None,
         dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
@@ -167,7 +172,6 @@ class HODLRSolver:
             )
         self.variant = variant
         self.pivot = pivot
-        self.stream_cutoff = stream_cutoff
         if isinstance(backend, BatchedBackend):
             if dispatch_policy is not None:
                 # update the policy in place so subclasses (counting /
@@ -198,10 +202,15 @@ class HODLRSolver:
         # solve() may run concurrently (parallel sweeps/portfolios sharing a
         # cached operator); the read-modify-write stats update needs a lock
         self._stats_lock = threading.Lock()
-        self._impl: Optional[
-            Union[RecursiveFactorization, FlatFactorization, BatchedFactorization]
-        ] = None
+        #: the compiled factorization (built-in variants) and the packed
+        #: matrix it was built from, kept alive with it: its Vbig counts
+        #: toward ``stats.factorization_bytes``
+        self._plan: Optional[FactorPlan] = None
         self._bigdata: Optional[BigMatrices] = None
+        self._factor_trace: Optional[KernelTrace] = None
+        self._last_solve_trace: Optional[KernelTrace] = None
+        #: the factorized object of a registered variant
+        self._impl: Any = None
 
     _UNSET = object()
 
@@ -218,7 +227,7 @@ class HODLRSolver:
         """Construct from a :class:`repro.api.config.SolverConfig`.
 
         ``config`` is duck-typed (any object with ``variant``, ``pivot``,
-        ``stream_cutoff``, ``numpy_dtype``, and either an
+        ``numpy_dtype``, and either an
         ``execution_context()`` method or ``backend``/``dispatch_policy``
         attributes).  ``dtype`` overrides the config's dtype when given —
         pass ``dtype=None`` explicitly if ``hodlr`` is already stored at the
@@ -255,7 +264,6 @@ class HODLRSolver:
             variant=config.variant,
             dtype=config.numpy_dtype if dtype is cls._UNSET else dtype,
             pivot=config.pivot,
-            stream_cutoff=config.stream_cutoff,
             **kwargs,
         )
 
@@ -264,39 +272,40 @@ class HODLRSolver:
     # ------------------------------------------------------------------
     def factorize(self) -> "HODLRSolver":
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        array_backend = self.backend.array_backend
-        if self.variant == "recursive":
-            self._impl = RecursiveFactorization(
-                hodlr=self.hodlr, backend=array_backend, context=self.context
-            ).factorize()
-            self.stats.factorization_bytes = self._impl.factorization_nbytes()
-        elif self.variant == "flat":
-            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=array_backend)
-            self._impl = FlatFactorization(
-                data=self._bigdata,
-                backend=array_backend,
-                policy=self.backend.policy,
-                context=self.context,
-            ).factorize()
-            self.stats.factorization_bytes = self._impl.factorization_nbytes()
-        elif self.variant == "batched":
-            self._bigdata = BigMatrices.from_hodlr(self.hodlr, backend=array_backend)
-            self._impl = BatchedFactorization(
-                data=self._bigdata,
-                backend=self.backend,
-                pivot=self.pivot,
-                stream_cutoff=self.stream_cutoff,
-                context=self.context,
-            ).factorize()
-            self.stats.factorization_bytes = self._impl.factorization_nbytes()
+        if self.variant in _VARIANTS:
+            data = BigMatrices.from_hodlr(
+                self.hodlr, backend=self.backend.array_backend
+            )
+            rec = get_recorder()
+            with rec.recording() as trace:
+                # the HODLR data (D, U, V) is assembled on the host and
+                # copied to the device before factorization (paper,
+                # section IV-A)
+                rec.add_transfer(data.nbytes, "h2d")
+                with rec.context(tag="factor"):
+                    plan = build_factor_plan(
+                        data, context=self.context, pivot=self.pivot
+                    )
+            self._adopt_plan(plan, data, trace)
         else:
-            # a registered (baseline) variant: the factory returns a
-            # factorized object exposing at least solve(b)
+            # a registered variant: the factory returns a factorized object
+            # exposing at least solve(b)
             self._impl = _VARIANT_FACTORIES[self.variant](self.hodlr, self)
             nbytes = getattr(self._impl, "factorization_nbytes", None)
             self.stats.factorization_bytes = int(nbytes()) if callable(nbytes) else 0
         self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         return self
+
+    def _adopt_plan(
+        self, plan: FactorPlan, data: BigMatrices, trace: KernelTrace
+    ) -> None:
+        self._plan = plan
+        self._bigdata = data
+        self._factor_trace = trace
+        # the paper's accounting: Ybig + Vbig plus the plan's packed stacks
+        self.stats.factorization_bytes = int(
+            plan.Ybig.nbytes + data.Vbig.nbytes + plan.nbytes
+        )
 
     def patch_factorize(self, hodlr: HODLRMatrix, dirty_nodes) -> "HODLRSolver":
         """Absorb an incrementally updated matrix by patching the retained
@@ -308,88 +317,68 @@ class HODLRSolver:
         (:class:`~repro.core.update.HODLRUpdate.dirty_nodes`).  Only the
         dirty path is re-factorized — kernel launches scale with the number
         of dirty shape buckets, not with the total bucket count — and the
-        patched plan is spliced into the existing factorization in place,
-        so subsequent solves replay it with no further work.
+        patched plan replaces the current one, so subsequent solves replay
+        it with no further work.
 
         Raises :class:`~repro.core.update.PatchUnsupportedError` when the
-        solver holds no patchable plan (the ``recursive`` variant, a
-        registered baseline variant, or the loop-policy fallback) or when
-        the plan itself cannot absorb the change; callers should fall back
-        to a full :meth:`factorize` of the new matrix.
+        solver holds no plan (a registered variant such as ``recursive`` or
+        a baseline) or when the plan itself cannot absorb the change;
+        callers should fall back to a full :meth:`factorize` of the new
+        matrix.
         """
         from .update import PatchUnsupportedError
 
-        impl = self._require_factored()
-        plan = getattr(impl, "factor_plan", None)
-        if plan is None:
+        self._require_factored()
+        if self._plan is None:
             raise PatchUnsupportedError(
-                f"variant {self.variant!r} holds no compiled FactorPlan to "
-                "patch (recursive/baseline variant or loop-policy fallback); "
-                "refactorize instead"
+                f"registered variant {self.variant!r} holds no compiled "
+                "FactorPlan to patch; refactorize instead"
             )
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         target = np.dtype(self.hodlr.dtype)
         hodlr_t = hodlr if np.dtype(hodlr.dtype) == target else hodlr.astype(target)
         rec = get_recorder()
         with rec.recording() as trace:
-            patched = plan.patch(hodlr_t, dirty_nodes)
-        # the impl's BigMatrices back the non-plan solve sweep and the
-        # nbytes accounting; the patch already packed the new matrix into
-        # the plan's layout, so adopt that instead of re-running the O(N)
-        # from_hodlr pack
-        data = patched.bigdata
-        if data is None:
-            data = BigMatrices.from_hodlr(
-                hodlr_t,
-                backend=self.backend.array_backend,
-                min_level_ranks=patched.level_ranks,
-            )
+            patched = self._plan.patch(hodlr_t, dirty_nodes)
         self.hodlr = hodlr_t
-        self._bigdata = data
-        impl.data = data
-        impl._plan = patched
-        impl._solve_plan = patched.solve_plan()
-        impl.Ybig = patched.Ybig
-        impl._populate_views()
-        if hasattr(impl, "factor_trace"):
-            impl.factor_trace = trace
-        self.stats.factorization_bytes = impl.factorization_nbytes()
+        # the patch already packed the new matrix into the plan's layout:
+        # adopt that instead of re-running the O(N) from_hodlr pack
+        self._adopt_plan(patched, patched.bigdata, trace)
         self.stats.factor_seconds = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         return self
 
     @property
     def factored(self) -> bool:
-        return self._impl is not None
+        return self._plan is not None or self._impl is not None
 
-    def _require_factored(self):
-        if self._impl is None:
+    def _require_factored(self) -> None:
+        if not self.factored:
             raise RuntimeError("call factorize() first")
-        return self._impl
 
     # ------------------------------------------------------------------
     # solve / apply
     # ------------------------------------------------------------------
-    def solve(
-        self, b: np.ndarray, compute_residual: bool = False, use_plan: bool = True
-    ) -> np.ndarray:
+    def solve(self, b: np.ndarray, compute_residual: bool = False) -> np.ndarray:
         """Solve ``A x = b``; ``b`` may contain multiple right-hand sides.
 
-        All built-in variants replay their compiled
+        The built-in variants replay the compiled
         :class:`~repro.core.factor_plan.SolvePlan` (packed once at
         factorization time, reused across solves and Krylov iterations);
-        ``use_plan=False`` forces the variant's pre-plan sweep — the
-        per-solve re-bucketing baseline the benchmarks measure against.
-        Registered (baseline) variants have no plan; the flag is ignored
-        for them.
+        registered variants call their own ``solve(b)``.
         """
-        impl = self._require_factored()
+        self._require_factored()
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
-        # registered baseline variants expose a bare solve(b); only the
-        # built-in impls (which carry a factor_plan) take the use_plan knob
-        if use_plan or not hasattr(impl, "factor_plan"):
-            x = impl.solve(b)
+        if self._plan is None:
+            x = self._impl.solve(b)
         else:
-            x = impl.solve(b, use_plan=False)
+            b = self.backend.array_backend.asarray(b)
+            rec = get_recorder()
+            with rec.recording() as trace:
+                rec.add_transfer(b.nbytes, "h2d")
+                with rec.context(tag="solve"):
+                    x = self._plan.solve_plan().solve(b)
+                rec.add_transfer(x.nbytes, "d2h")
+            self._last_solve_trace = trace
         elapsed = time.perf_counter() - t0  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         # a fused (n, K) block counts K right-hand sides: one plan replay
         # amortizes its launches across the whole block
@@ -436,8 +425,10 @@ class HODLRSolver:
     # determinant
     # ------------------------------------------------------------------
     def slogdet(self) -> Tuple[complex, float]:
-        impl = self._require_factored()
-        fn = getattr(impl, "slogdet", None)
+        self._require_factored()
+        if self._plan is not None:
+            return self._plan.slogdet()
+        fn = getattr(self._impl, "slogdet", None)
         if fn is None:
             raise NotImplementedError(
                 f"variant {self.variant!r} does not expose slogdet"
@@ -445,49 +436,51 @@ class HODLRSolver:
         return fn()
 
     def logdet(self) -> float:
-        impl = self._require_factored()
-        fn = getattr(impl, "logdet", None)
-        if fn is None:
-            raise NotImplementedError(
-                f"variant {self.variant!r} does not expose logdet"
-            )
-        return fn()
+        self._require_factored()
+        if self._plan is None:
+            fn = getattr(self._impl, "logdet", None)
+            if fn is None:
+                raise NotImplementedError(
+                    f"variant {self.variant!r} does not expose logdet"
+                )
+            return fn()
+        sign, logabs = self._plan.slogdet()
+        if not np.iscomplexobj(np.asarray(sign)) and np.real(sign) <= 0:
+            raise ValueError("matrix has a non-positive determinant; use slogdet()")
+        return logabs
 
     # ------------------------------------------------------------------
-    # traces & performance modeling (batched variant only)
+    # traces & compiled plans (built-in variants only)
     # ------------------------------------------------------------------
     @property
     def factor_trace(self) -> Optional[KernelTrace]:
-        impl = self._require_factored()
-        return getattr(impl, "factor_trace", None)
+        self._require_factored()
+        return self._factor_trace
 
     @property
     def last_solve_trace(self) -> Optional[KernelTrace]:
-        impl = self._require_factored()
-        return getattr(impl, "last_solve_trace", None)
-
-    # ------------------------------------------------------------------
-    # compiled plans
-    # ------------------------------------------------------------------
-    @property
-    def factor_plan(self):
-        """The shared packed :class:`~repro.core.factor_plan.FactorPlan`
-        (``None`` before factorization or on the loop-policy fallback)."""
-        return getattr(self._impl, "factor_plan", None)
+        self._require_factored()
+        return self._last_solve_trace
 
     @property
-    def solve_plan(self):
+    def factor_plan(self) -> Optional[FactorPlan]:
+        """The packed :class:`~repro.core.factor_plan.FactorPlan` (``None``
+        before factorization or for a registered variant)."""
+        return self._plan
+
+    @property
+    def solve_plan(self) -> Optional[SolvePlan]:
         """The compiled :class:`~repro.core.factor_plan.SolvePlan` every
-        ``solve`` replays (``None`` before factorization or on the
-        loop-policy fallback)."""
-        return getattr(self._impl, "solve_plan", None)
+        ``solve`` replays (``None`` before factorization or for a
+        registered variant)."""
+        return None if self._plan is None else self._plan.solve_plan()
 
     def modeled_times(
         self, model: Optional[PerformanceModel] = None
     ) -> Dict[str, ExecutionEstimate]:
         """Estimate device execution times of the recorded kernel traces.
 
-        Only meaningful for the ``"batched"`` variant; returns a dict with
+        Only meaningful for the built-in variants; returns a dict with
         keys ``"factorization"`` and (if a solve has been run)
         ``"solution"``.
         """

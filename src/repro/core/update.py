@@ -43,8 +43,9 @@ from .low_rank import LowRankFactor
 
 
 class PatchUnsupportedError(RuntimeError):
-    """The tree cannot absorb this change incrementally (e.g. an emptied
-    leaf); callers should fall back to a full rebuild."""
+    """The change cannot be absorbed incrementally (e.g. an emptied leaf, or
+    a registered solver variant that holds no compiled plan to patch);
+    callers should fall back to a full rebuild."""
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,8 @@ class TestSolverConfig:
         [
             dict(variant="dense"),
             dict(backend=""),
-            dict(stream_cutoff=-1),
             dict(pivot=1),
+            dict(tuning="bogus"),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
         ],
@@ -142,7 +142,6 @@ class TestSolverConfig:
             variant="flat",
             dtype="float32",
             pivot=False,
-            stream_cutoff=0,
             dispatch_policy=DispatchPolicy(bucketing=False, min_bucket=3),
             compression=CompressionConfig(tol=1e-5, method="svd"),
         )
@@ -154,6 +153,13 @@ class TestSolverConfig:
     def test_round_trip_defaults(self):
         cfg = SolverConfig()
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_from_dict_rejects_removed_stream_cutoff(self):
+        data = SolverConfig().to_dict()
+        assert "stream_cutoff" not in data
+        data["stream_cutoff"] = 4
+        with pytest.raises(ConfigError, match="stream_cutoff"):
+            SolverConfig.from_dict(data)
 
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()

@@ -322,9 +322,12 @@ class TestSolverThreading:
 
         A, H = small_hodlr
         b = rng.standard_normal(A.shape[0])
-        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY, stream_cutoff=0).factorize()
-        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY, stream_cutoff=0).factorize()
+        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize()
+        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY).factorize()
         np.testing.assert_allclose(fast.solve(b), slow.solve(b), rtol=1e-10, atol=1e-10)
+        # both compile the plan, each under its own policy
+        assert fast.factor_plan.context.policy is DEFAULT_POLICY
+        assert slow.factor_plan.context.policy is LOOP_POLICY
         fast_events = [e for e in fast.factor_trace.events if e.kernel == "getrf_batched"]
         assert any(e.strided for e in fast_events)
         slow_events = [e for e in slow.factor_trace.events if e.kernel == "getrf_batched"]
@@ -334,7 +337,7 @@ class TestSolverThreading:
         from repro import HODLRSolver, PerformanceModel
 
         _, H = small_hodlr
-        solver = HODLRSolver(H, stream_cutoff=0).factorize()
+        solver = HODLRSolver(H).factorize()
         est = PerformanceModel().estimate(solver.factor_trace)
         assert est.num_kernel_launches >= est.num_launches
 

@@ -5,9 +5,7 @@ import pytest
 
 from repro import (
     BigMatrices,
-    BatchedFactorization,
     ClusterTree,
-    FlatFactorization,
     HODLRSolver,
     build_hodlr,
 )
@@ -72,11 +70,7 @@ class TestPartiallyZeroLevels:
         profile = H.rank_profile()
         assert profile[0] >= 2 and all(r == 0 for r in profile[1:])
         for variant in ["flat", "batched"]:
-            fac = (
-                FlatFactorization(data=BigMatrices.from_hodlr(H))
-                if variant == "flat"
-                else BatchedFactorization(data=BigMatrices.from_hodlr(H))
-            ).factorize()
+            fac = HODLRSolver(H, variant=variant).factorize()
             b = rng.standard_normal(n)
             x = fac.solve(b)
             assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9

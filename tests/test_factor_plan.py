@@ -2,9 +2,10 @@
 
 Covers the acceptance criteria of the plan refactor:
 
-* plan-vs-sweep equivalence to 1e-12 across all three factorization
-  variants (real/complex, adaptive ranks, non-power-of-two N), and the
-  three variants agreeing with each other through the shared plan;
+* plan-vs-reference equivalence to 1e-12: the compiled plan (under both
+  its names, ``"flat"`` and ``"batched"``) against the textbook recursion
+  of :class:`repro.baselines.RecursiveFactorization` (real/complex,
+  adaptive ranks, non-power-of-two N);
 * launch-count assertions: ``num_kernel_launches`` per solve equals the
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
@@ -20,19 +21,16 @@ import pytest
 from conftest import complex_test_matrix, hodlr_friendly_matrix
 
 from repro import (
-    BatchedFactorization,
-    BigMatrices,
     ClusterTree,
     DispatchPolicy,
     ExecutionContext,
-    FlatFactorization,
     HODLROperator,
     HODLRSolver,
     PrecisionPolicy,
-    RecursiveFactorization,
     build_hodlr,
 )
 from repro.api import SolverConfig
+from repro.baselines import RecursiveFactorization
 from repro.backends.batched import getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
 from repro.backends.dispatch import LOOP_POLICY
@@ -54,33 +52,41 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
 
 
 def factorize(H, variant, **kw):
+    """The recursive oracle, or the compiled plan under one of its names."""
     if variant == "recursive":
-        return RecursiveFactorization(hodlr=H, **kw).factorize()
-    if variant == "flat":
-        return FlatFactorization(data=BigMatrices.from_hodlr(H), **kw).factorize()
-    return BatchedFactorization(data=BigMatrices.from_hodlr(H), **kw).factorize()
+        return RecursiveFactorization(hodlr=H).factorize()
+    return HODLRSolver(H, variant=variant, **kw).factorize()
+
+
+def other_engine_solve(H, variant, b):
+    """Solve with the engine ``variant`` is checked against: the recursive
+    oracle for the plan, the plan for the oracle."""
+    if variant == "recursive":
+        return HODLRSolver(H).factorize().solve(b)
+    return RecursiveFactorization(hodlr=H).factorize().solve(b)
 
 
 # ======================================================================
-# plan-vs-sweep equivalence
+# plan-vs-reference equivalence
 # ======================================================================
 class TestPlanEquivalence:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_plan_matches_sweep(self, variant, kind, rng):
+        """The compiled plan matches the reference sweep, the per-node
+        recursion of equation (8), to 1e-12 (checked from both sides)."""
         n = 192 if kind == "complex" else 256
         A, H = make_problem(n=n, leaf=24, kind=kind)
         fac = factorize(H, variant)
-        assert fac.solve_plan is not None
         b = rng.standard_normal(n)
         if kind == "complex":
             b = b + 1j * rng.standard_normal(n)
-        x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
-        assert (
-            np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
-        )
-        assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-9
+        if variant != "recursive":
+            assert fac.solve_plan is not None
+        x = fac.solve(b)
+        x_other = other_engine_solve(H, variant, b)
+        assert np.linalg.norm(x - x_other) / np.linalg.norm(x_other) < 1e-12
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_adaptive_ranks_non_power_of_two(self, variant, rng):
@@ -93,8 +99,8 @@ class TestPlanEquivalence:
         fac = factorize(H, variant)
         b = rng.standard_normal(n)
         x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
-        assert np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
+        x_ref = other_engine_solve(H, variant, b)
+        assert np.linalg.norm(x_plan - x_ref) / np.linalg.norm(x_ref) < 1e-12
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-8
 
     def test_all_variants_agree_through_shared_plan(self, rng):
@@ -116,24 +122,24 @@ class TestPlanEquivalence:
 
     def test_pivot_false_through_plan(self, rng):
         A, H = make_problem()
-        fac = BatchedFactorization(
-            data=BigMatrices.from_hodlr(H), pivot=False
-        ).factorize()
+        fac = HODLRSolver(H, pivot=False).factorize()
         b = rng.standard_normal(A.shape[0])
         x_plan = fac.solve(b)
-        x_sweep = fac.solve(b, use_plan=False)
-        assert np.linalg.norm(x_plan - x_sweep) / np.linalg.norm(x_sweep) < 1e-12
+        x_ref = other_engine_solve(H, "batched", b)
+        assert np.linalg.norm(x_plan - x_ref) / np.linalg.norm(x_ref) < 1e-12
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-9
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_loop_policy_skips_plan(self, variant, rng):
-        """LOOP_POLICY reproduces the pre-plan schedule: no plan is built."""
+    def test_loop_policy_still_compiles_plan(self, rng):
+        """LOOP_POLICY only changes how each packed launch executes: the
+        solver still compiles the plan and every solve replays it."""
         A, H = make_problem(n=128, leaf=32)
         ctx = ExecutionContext(policy=LOOP_POLICY)
-        fac = factorize(H, variant, context=ctx)
-        assert fac.solve_plan is None
+        solver = HODLRSolver(H, context=ctx).factorize()
+        assert solver.solve_plan is not None
         b = rng.standard_normal(A.shape[0])
-        x = fac.solve(b)
+        x = solver.solve(b)
+        trace = solver.last_solve_trace
+        assert trace.num_plan_launches == solver.solve_plan.launches_per_solve
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -171,13 +177,6 @@ class TestLaunchCounts:
         # uniform tree: 1 leaf bucket + (2 gemm + 1 getrs) per level
         assert plan.launches_per_solve <= 1 + 3 * tree.levels
         assert plan.launches_per_solve < tree.num_nodes
-
-    def test_sweep_path_records_no_plan_launches(self, rng):
-        _, H = make_problem(n=256, leaf=32)
-        solver = HODLRSolver(H, variant="batched").factorize()
-        solver.solve(rng.standard_normal(256), use_plan=False)
-        assert solver.last_solve_trace.num_plan_launches == 0
-        assert solver.last_solve_trace.num_kernel_launches > 0
 
     def test_repeated_solves_reuse_plan(self, rng):
         _, H = make_problem(n=256, leaf=32)
@@ -321,6 +320,7 @@ class TestPaddedLU:
         assert np.linalg.norm(x - x_pad) / np.linalg.norm(x) < 1e-12
         if variant != "recursive":
             # padding merges the two leaf-size buckets: fewer launches
+            # (the recursive oracle ignores the dispatch policy)
             assert (
                 fac_pad.solve_plan.launches_per_solve
                 <= fac.solve_plan.launches_per_solve
@@ -435,7 +435,8 @@ class TestPrecedenceRegression:
         ctx = ExecutionContext(policy=LOOP_POLICY)
         solver = HODLRSolver(H, backend=BatchedBackend(), context=ctx).factorize()
         assert not solver.context.policy.bucketing
-        assert solver.factor_plan is None  # loop fallback, no compiled plan
+        # the plan was compiled under the context's policy
+        assert solver.factor_plan.context.policy is ctx.policy
         b = rng.standard_normal(128)
         x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9

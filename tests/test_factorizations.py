@@ -1,8 +1,9 @@
-"""Correctness tests for all three factorization variants.
+"""Correctness tests for the factorization engine against the recursive oracle.
 
-The recursive algorithm (section III-A), the flat level-loop algorithm
-(Algorithms 1-2) and the batched GPU-style algorithm (Algorithms 3-4) must
-all solve the same systems to round-off, for real and complex matrices,
+The compiled plan behind :class:`HODLRSolver` (Algorithms 1-4, reachable
+as ``variant="batched"`` or its alias ``"flat"``) and the textbook
+recursion of section III-A (:class:`repro.baselines.RecursiveFactorization`)
+must solve the same systems to round-off, for real and complex matrices,
 single and multiple right-hand sides, and varying tree depths.
 """
 
@@ -11,12 +12,12 @@ import pytest
 
 from repro import (
     BigMatrices,
-    BatchedFactorization,
     ClusterTree,
-    FlatFactorization,
-    RecursiveFactorization,
+    HODLRSolver,
+    build_factor_plan,
     build_hodlr,
 )
+from repro.baselines import RecursiveFactorization
 from conftest import hodlr_friendly_matrix, complex_test_matrix, spd_kernel_matrix
 
 
@@ -34,16 +35,19 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real"):
     return A, H
 
 
-def factorize(H, variant):
+def unfactored(H, variant):
+    """The recursive oracle, or the compiled plan under one of its names."""
     if variant == "recursive":
-        return RecursiveFactorization(hodlr=H).factorize()
-    if variant == "flat":
-        return FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-    if variant == "batched":
-        return BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-    raise ValueError(variant)
+        return RecursiveFactorization(hodlr=H)
+    return HODLRSolver(H, variant=variant)
 
 
+def factorize(H, variant):
+    return unfactored(H, variant).factorize()
+
+
+#: the recursive oracle plus the plan; "flat" and "batched" run the same
+#: code and stay listed so both spellings keep their coverage
 VARIANTS = ["recursive", "flat", "batched"]
 
 
@@ -115,14 +119,8 @@ class TestSolveCorrectness:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_solve_before_factorize_raises(self, variant):
         _, H = make_problem(n=64, leaf=16)
-        if variant == "recursive":
-            fac = RecursiveFactorization(hodlr=H)
-        elif variant == "flat":
-            fac = FlatFactorization(data=BigMatrices.from_hodlr(H))
-        else:
-            fac = BatchedFactorization(data=BigMatrices.from_hodlr(H))
         with pytest.raises(RuntimeError):
-            fac.solve(np.ones(64))
+            unfactored(H, variant).solve(np.ones(64))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_wrong_rhs_size_raises(self, variant):
@@ -139,8 +137,8 @@ class TestFactorizationEquivalence:
         """The Y bases produced by Algorithm 1 equal A_alpha^{-1} U_alpha."""
         A, H = make_problem(n=128, leaf=32, seed=5)
         tree = H.tree
-        flat = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        data = flat.data
+        data = BigMatrices.from_hodlr(H)
+        plan = build_factor_plan(data)
         for level in range(1, tree.levels + 1):
             cols = data.level_cols(level)
             for idx in tree.level_indices(level):
@@ -148,7 +146,7 @@ class TestFactorizationEquivalence:
                 Asub = A[node.start : node.stop, node.start : node.stop]
                 U = H.U[idx]
                 Y_expected = np.linalg.solve(Asub, U)
-                Y_stored = flat.Ybig[node.start : node.stop, cols][:, : U.shape[1]]
+                Y_stored = plan.Ybig[node.start : node.stop, cols][:, : U.shape[1]]
                 assert (
                     np.linalg.norm(Y_stored - Y_expected)
                     / max(np.linalg.norm(Y_expected), 1e-300)
@@ -157,9 +155,27 @@ class TestFactorizationEquivalence:
 
     def test_batched_and_flat_produce_same_Ybig(self):
         _, H = make_problem(n=256, leaf=32, seed=6)
-        flat = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-        batched = BatchedFactorization(data=BigMatrices.from_hodlr(H)).factorize()
+        flat = factorize(H, "flat").factor_plan
+        batched = factorize(H, "batched").factor_plan
         np.testing.assert_allclose(flat.Ybig, batched.Ybig, rtol=1e-9, atol=1e-11)
+
+    def test_flat_alias_is_bit_identical_to_batched(self, rng):
+        """``"flat"`` is a second name for the one plan engine: identical
+        solutions bit for bit and identical launch counts."""
+        _, H = make_problem(n=300, leaf=40, seed=12)
+        flat = factorize(H, "flat")
+        batched = factorize(H, "batched")
+        b = rng.standard_normal(300)
+        np.testing.assert_array_equal(flat.solve(b), batched.solve(b))
+        assert flat.factor_trace.num_launches == batched.factor_trace.num_launches
+        assert (
+            flat.factor_trace.num_kernel_launches
+            == batched.factor_trace.num_kernel_launches
+        )
+        assert (
+            flat.last_solve_trace.num_kernel_launches
+            == batched.last_solve_trace.num_kernel_launches
+        )
 
 
 class TestDeterminant:
@@ -200,8 +216,7 @@ class TestLowAccuracyFactorization:
         residuals = {}
         for tol in [1e-2, 1e-6, 1e-12]:
             H = build_hodlr(A, tree, tol=tol, method="svd")
-            fac = FlatFactorization(data=BigMatrices.from_hodlr(H)).factorize()
-            x = fac.solve(b)
+            x = factorize(H, "batched").solve(b)
             residuals[tol] = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert residuals[1e-12] < residuals[1e-6] < residuals[1e-2]
         assert residuals[1e-12] < 1e-9

@@ -79,9 +79,10 @@ class TestTracesAndModeling:
         # factorization does much more work than a single solve
         assert solver.factor_trace.total_flops > 5 * solver.last_solve_trace.total_flops
 
-    def test_flat_variant_has_no_trace(self, small_hodlr):
-        solver = HODLRSolver(small_hodlr, variant="flat").factorize()
+    def test_registered_variant_has_no_trace_or_plan(self, small_hodlr):
+        solver = HODLRSolver(small_hodlr, variant="recursive").factorize()
         assert solver.factor_trace is None
+        assert solver.factor_plan is None and solver.solve_plan is None
 
     def test_modeled_times_structure(self, small_hodlr, rng):
         solver = HODLRSolver(small_hodlr, variant="batched").factorize()
@@ -120,12 +121,3 @@ class TestTracesAndModeling:
         b = rng.standard_normal(small_hodlr.n)
         x = solver.solve(b)
         assert np.linalg.norm(small_dense @ x - b) / np.linalg.norm(b) < 1e-8
-
-    def test_stream_cutoff_does_not_change_results(self, small_dense, small_hodlr, rng):
-        b = rng.standard_normal(small_hodlr.n)
-        xs = []
-        for cutoff in [0, 2, 1000]:
-            solver = HODLRSolver(small_hodlr, variant="batched", stream_cutoff=cutoff).factorize()
-            xs.append(solver.solve(b))
-        np.testing.assert_allclose(xs[0], xs[1], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(xs[0], xs[2], rtol=1e-10, atol=1e-12)
