@@ -12,21 +12,18 @@ solve** (one compiled-plan replay for a whole ``(n, K)`` block vs K
 sequential plan solves through the same factorization) and the
 **parameter sweep** (``repro.run_sweep`` recycling the cluster tree,
 skeletons, and cached distance blocks across a 16-point Helmholtz
-frequency sweep vs 16 independent ``repro.solve`` calls) — and, new in
-PR 9, the **parallel execution engine** rows: the end-to-end solve and
-an all-independent-steps sweep under the thread-pooled engine
-(:mod:`repro.backends.parallel`) vs the bit-identical serial path — and,
+frequency sweep vs 16 independent ``repro.solve`` calls) — the **sweep
+fan-out** row (an all-independent-steps sweep whose steps run on the
+shared pool of :mod:`repro.backends.parallel`, vs the serial sweep) — and,
 new in PR 10, the **streaming update** rows: k-point inserts (factored
 bordering of the dirty blocks + prefix-replay plan patching) and a
 k-point delete against full construction + factorization rebuilds, at
 equal *exact* residual, with the patch's dirty-bucket launch counts
 recorded per row.
-Correctness gates the parallel rows on *every* host (solutions to 1e-12
-and literally identical launch/flop counters — the schedule is recorded
-analytically on the dispatching thread, so it is a deterministic fact
-independent of worker count); the speedup floors only apply on hosts
-with >= 4 cores, so single-core CI records the pool's overhead honestly
-instead of flaking.
+Correctness gates the fan-out row on *every* host (every step's solution
+equal to the serial one to 1e-12); its speedup floor only applies on
+hosts with >= 4 cores, so single-core CI records the pool's overhead
+honestly instead of flaking.
 
 Besides the wall-clock rows the run records a ``counters`` section:
 deterministic kernel-trace counters (launch counts, flops, plan storage
@@ -51,8 +48,7 @@ N=16384 (PR 6), a fused K=32 block solve >= 4x faster than 32 sequential
 plan solves at N=16384 with identical solutions to 1e-12 (PR 8), the
 16-point Helmholtz sweep >= 2x faster than independent re-builds at equal
 residual (PR 8), — on a host with >= 4 cores — the thread-pooled
-end-to-end solve >= 1.5x at N=16384 and the 8-step all-independent sweep
->= 2x (PR 9), and the k=1/k=16 streaming insert and k=16 delete each
+8-step all-independent sweep >= 2x, and the k=1/k=16 streaming insert and k=16 delete each
 >= 5x faster than a full rebuild at N=16384 and equal exact residual
 (PR 10).  Both the full and smoke runs also *assert the plan path
 is actually taken* via the kernel trace (``num_plan_launches ==
@@ -77,7 +73,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import repro  # noqa: E402
 from repro import HODLROperator, HODLRSolver, PrecisionPolicy  # noqa: E402
 from repro.api import CompressionConfig, SolverConfig  # noqa: E402
-from repro.backends import ExecutionContext, get_recorder  # noqa: E402
+from repro.backends import get_recorder  # noqa: E402
 from repro.backends.parallel import (  # noqa: E402
     pool_stats,
     reset_pool_stats,
@@ -530,87 +526,27 @@ def bench_incremental_downdate(n, k=16, tol=1e-8, leaf_size=64,
     return row
 
 
-def _forced_parallel():
-    """Explicit pool spec for the PR-9 rows: deterministic engagement.
-
-    ``"auto"`` resolves to serial on a single-core host (and to whatever
-    the calibrated profile says elsewhere), which would change the *shape*
-    of the recorded row per host, not just its magnitude — so the bench
-    pins an explicit worker count (explicit ints are honoured as given,
-    never clamped to the core count) and zeroes the per-task element
-    floor, guaranteeing the pool actually executes on any machine.
-    """
-    workers = max(2, min(8, os.cpu_count() or 1))
-    return {"workers": workers, "min_tasks": 2, "min_task_elements": 0}
-
-
-def bench_parallel_solve(n, tol=1e-8, min_speedup=None):
-    """The PR-9 acceptance row: end-to-end ``repro.solve`` (construction +
-    factorization + solve) under the thread-pooled execution engine vs the
-    serial path (``parallel="off"``, which must never touch the pool).
-
-    Correctness is the hard gate on every host: solutions identical to
-    1e-12 and literally equal kernel-launch/flop counts — the batched
-    wrappers account traces analytically on the dispatching thread after
-    each bucket loop, so the schedule cannot depend on worker count.  The
-    wall-clock floor (``min_speedup``) is only passed on >= 4-core hosts.
-    """
-    cfg = SolverConfig(compression=CompressionConfig(tol=tol, method="randomized"))
-    rec = get_recorder()
-
-    def run(parallel):
-        shutdown_pool()
-        reset_pool_stats()
-        with rec.recording() as tr:
-            res = repro.solve("gaussian_kernel", config=cfg, n=n, parallel=parallel)
-        return res, tr
-
-    ts, (res_s, tr_s) = _timed(lambda: run("off"))
-    assert pool_stats().submissions == 0, "parallel='off' touched the pool"
-    tp, (res_p, tr_p) = _timed(lambda: run(_forced_parallel()))
-    subs = pool_stats().submissions
-    assert subs > 0, "forced-parallel solve never engaged the pool"
-    shutdown_pool()
-    rel = float(
-        np.linalg.norm(res_p.x - res_s.x) / max(np.linalg.norm(res_s.x), 1e-300)
-    )
-    row = _row("parallel_solve", tp, ts, fast_label="parallel",
-               slow_label="serial", n=n, agreement=rel, pool_submissions=subs,
-               launches=tr_s.num_kernel_launches)
-    assert rel < 1e-12, f"parallel and serial solves disagree: {rel}"
-    assert tr_p.num_kernel_launches == tr_s.num_kernel_launches, (
-        f"parallel execution changed the schedule: "
-        f"{tr_p.num_kernel_launches} launches vs {tr_s.num_kernel_launches}"
-    )
-    assert tr_p.total_flops == tr_s.total_flops, (
-        "parallel execution changed the flop total"
-    )
-    if min_speedup is not None:
-        assert row["speedup"] >= min_speedup, (
-            f"parallel solve speedup {row['speedup']} below {min_speedup}x"
-        )
-    return row
-
-
 def bench_parallel_sweep(n, points=8, min_speedup=None):
-    """The PR-9 sweep row: a ``points``-step sweep whose every override
+    """The sweep fan-out row: a ``points``-step sweep whose every override
     touches a non-recyclable key (``n``), so each step is an independent
-    full solve — exactly the shape ``run_sweep(parallel=)`` fans out over
-    the shared pool — vs the same sweep with ``parallel="off"``.
+    full solve — exactly the shape ``run_sweep(parallel=N)`` fans out over
+    the shared pool — vs the same sweep with the default ``parallel=1``.
 
-    Step-for-step the two sweeps must agree to 1e-12; the >= 2x floor is
-    only passed on >= 4-core hosts.
+    The pool gets two workers, or one per core up to eight on larger
+    hosts.  Step-for-step the two sweeps must agree to 1e-12; the >= 2x
+    floor is only passed on >= 4-core hosts.
     """
     overrides = [{"n": n, "kappa": 10.0 + 0.5 * i} for i in range(points)]
+    workers = max(2, min(8, os.cpu_count() or 1))
 
     def run(parallel):
         shutdown_pool()
         reset_pool_stats()
         return repro.run_sweep("helmholtz_kernel", overrides, n=n, parallel=parallel)
 
-    ts, sweep_s = _timed(lambda: run("off"))
-    assert pool_stats().submissions == 0, "parallel='off' touched the pool"
-    tp, sweep_p = _timed(lambda: run(_forced_parallel()))
+    ts, sweep_s = _timed(lambda: run(1))
+    assert pool_stats().submissions == 0, "parallel=1 touched the pool"
+    tp, sweep_p = _timed(lambda: run(workers))
     subs = pool_stats().submissions
     assert subs >= points, (
         f"expected >= {points} pool submissions for {points} independent "
@@ -629,8 +565,8 @@ def bench_parallel_sweep(n, points=8, min_speedup=None):
         )
         worst = max(worst, rel)
     row = _row(f"parallel_sweep_{points}pt", tp, ts, fast_label="parallel",
-               slow_label="serial", n=n, points=points, agreement=worst,
-               pool_submissions=subs)
+               slow_label="serial", n=n, points=points, workers=workers,
+               agreement=worst, pool_submissions=subs)
     assert worst < 1e-12, f"parallel and serial sweeps disagree: {worst}"
     if min_speedup is not None:
         assert row["speedup"] >= min_speedup, (
@@ -758,9 +694,7 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     full runs, and every value below is a launch count, flop total, or
     plan byte count — not a wall-clock — so the committed numbers are
     reproducible across hosts up to BLAS-rounding rank wobble (covered by
-    the gate's tolerances).  PR 9 re-runs the factorization and plan
-    solve under the forced thread pool and records their launch/flop
-    keys, asserted equal to the serial ones.
+    the gate's tolerances).
     """
     km = _gaussian_km(n)
     rec = get_recorder()
@@ -787,44 +721,6 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         f"expected {plan.launches_per_solve}"
     )
     apply_plan = H.build_apply_plan(force=True)
-    # PR 9: the same probe — construction, factorization, plan solve —
-    # under the *forced* thread pool must schedule exactly the same
-    # kernels: launches and flops are analytic per-bucket facts recorded
-    # on the dispatching thread, so the parallel keys below equal their
-    # serial counterparts and the gate diffs both.  (The probe's
-    # power-of-two tree makes each factor level a single uniform shape
-    # bucket, which correctly stays inline — the pool engagement comes
-    # from construction's pipelined gather and chunked bucket kernels.)
-    shutdown_pool()
-    reset_pool_stats()
-    ctx_par = ExecutionContext(parallel=dict(_forced_parallel(), min_tasks=1))
-    with rec.recording() as tr_pcon:
-        H_par, _ = km.to_hodlr(leaf_size=leaf_size, tol=tol, method="svd",
-                               construction="batched", context=ctx_par)
-    with rec.recording() as tr_pfac:
-        solver_par = HODLRSolver(
-            H_par, variant="batched", context=ctx_par
-        ).factorize()
-    solver_par.solve(b)  # warm: attach plan state outside the recording
-    with rec.recording() as tr_psol:
-        solver_par.solve(b)
-    assert pool_stats().submissions > 0, "forced-parallel probe never used the pool"
-    shutdown_pool()
-    assert tr_pcon.num_kernel_launches == tr_con.num_kernel_launches, (
-        "parallel construction changed the launch schedule"
-    )
-    assert tr_pcon.total_flops == tr_con.total_flops, (
-        "parallel construction changed the flop total"
-    )
-    assert tr_pfac.num_kernel_launches == tr_fac.num_kernel_launches, (
-        "parallel factorization changed the launch schedule"
-    )
-    assert tr_pfac.total_flops == tr_fac.total_flops, (
-        "parallel factorization changed the flop total"
-    )
-    assert tr_psol.num_plan_launches == tr_sol.num_plan_launches, (
-        "parallel plan solve changed the launch schedule"
-    )
     counters = {
         "n": n,
         "construction_launches": tr_con.num_kernel_launches,
@@ -838,10 +734,6 @@ def collect_counters(n=2048, tol=1e-8, leaf_size=64):
         "factor_plan_bytes": int(solver.factor_plan.nbytes),
         "apply_plan_bytes": int(apply_plan.nbytes),
         "apply_launches_per_matvec": apply_plan.launches_per_apply,
-        "parallel_construction_launches": tr_pcon.num_kernel_launches,
-        "parallel_factor_launches": tr_pfac.num_kernel_launches,
-        "parallel_factor_flops": tr_pfac.total_flops,
-        "parallel_solve_plan_launches": tr_psol.num_plan_launches,
     }
     counters.update(collect_update_counters())
     counters.update(collect_cache_counters())
@@ -965,7 +857,7 @@ def main(argv=None):
     out_path = args.output or os.path.join(
         REPO_ROOT, "BENCH_smoke.json" if args.smoke else "BENCH_pr10.json"
     )
-    # the PR-9 wall-clock floors only make sense with real concurrency:
+    # the sweep fan-out floor only makes sense with real concurrency:
     # correctness gates always run, speedup floors need >= 4 cores
     multicore = (os.cpu_count() or 1) >= 4
 
@@ -1003,13 +895,9 @@ def main(argv=None):
     benchmarks["incremental_downdate_k16"] = bench_incremental_downdate(
         n_solve, k=16, min_speedup=None if args.smoke else 5.0
     )
-    # the PR-9 acceptance rows: thread-pooled execution vs bit-identical
-    # serial — 1e-12 agreement and equal launch/flop counters gate every
-    # host; the >= 1.5x (solve) / >= 2x (8-step sweep) floors only apply
-    # on >= 4-core machines
-    benchmarks["parallel_solve"] = bench_parallel_solve(
-        n_solve, min_speedup=1.5 if (not args.smoke and multicore) else None
-    )
+    # the sweep fan-out row: independent steps on the pool vs serial —
+    # 1e-12 agreement gates every host; the >= 2x 8-step floor only
+    # applies on >= 4-core machines
     benchmarks["parallel_sweep"] = bench_parallel_sweep(
         n_sweep, points=4 if args.smoke else 8,
         min_speedup=2.0 if (not args.smoke and multicore) else None

@@ -5,7 +5,8 @@ contribution so their effect can be measured separately:
 
 * level-batched kernels (the compiled plan) vs per-node recursion (the
   core claim: batching reduces kernel launches by orders of magnitude);
-* strided-batch fast path vs pointer-array batches (gemmStridedBatched);
+* strided-batch fast path: uniform levels and the per-size buckets of a
+  non-uniform tree both run as gemmStridedBatched / packed LU launches;
 * partial pivoting in the reduced K systems vs the reordered pivot-free
   formulation of equation (9)'s alternatives;
 * double vs single precision.
@@ -87,7 +88,7 @@ class TestVariantAblation:
 
 
 class TestDispatchAblation:
-    """Strided vs pointer batches."""
+    """Strided batches for uniform and non-uniform trees."""
 
     def test_strided_batches_are_used_for_uniform_levels(self, ablation_problem):
         """With a uniform tree the deep levels go through gemmStridedBatched."""
@@ -96,15 +97,25 @@ class TestDispatchAblation:
         kernels = {e.kernel for e in solver.factor_trace.events}
         assert "gemm_strided_batched" in kernels
 
-    def test_pointer_batches_used_for_nonuniform_tree(self):
-        """A non-power-of-two size forces the pointer-array (non-strided) path."""
+    def test_nonuniform_tree_splits_into_size_buckets(self):
+        """A non-power-of-two size leaves unequal leaf sizes (56 and 57 at
+        n=1800).  The plan packs each size into its own strided bucket: one
+        getrf launch per distinct leaf size at the leaf level, covering
+        every leaf once, and no pointer-array launch anywhere."""
         n = 1800
         A = structured_matrix(n, seed=2)
         tree = ClusterTree.balanced(n, leaf_size=64)
         H = build_hodlr(A, tree, tol=1e-9, method="svd")
         solver = HODLRSolver(H, variant="batched").factorize()
-        kernels = {e.kernel for e in solver.factor_trace.events}
-        assert "gemm_batched" in kernels
+        events = solver.factor_trace.events
+        leaf_sizes = sorted({leaf.size for leaf in tree.leaves})
+        leaf_lus = [
+            e for e in events if e.kernel == "getrf_batched" and e.level == tree.levels
+        ]
+        assert len(leaf_lus) == len(leaf_sizes) > 1
+        assert sorted(e.shape[0] for e in leaf_lus) == leaf_sizes
+        assert sum(e.batch for e in leaf_lus) == len(tree.leaves)
+        assert all(e.strided and e.buckets == 1 for e in events)
         b = np.random.default_rng(3).standard_normal(n)
         x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-7

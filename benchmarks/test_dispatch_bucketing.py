@@ -86,7 +86,7 @@ def _harvest_rpy_batches(leaf_size=RPY_DISPATCH_LEAF):
             continue
         child_cols = data.level_cols(child_level)
         for nd in tree.level_nodes(child_level):
-            rows = data.node_rows(nd)
+            rows = slice(nd.start, nd.stop)
             gemm_A.append(np.asarray(data.Vbig[rows, child_cols]))
             gemm_B.append(np.asarray(data.Ubig[rows, child_cols]))
         k = 2 * r

@@ -94,12 +94,7 @@ from .backends.dispatch import (
 )
 from .backends.memory import DeviceMemoryTracker, hodlr_device_footprint, max_problem_size
 from .backends.counters import get_recorder
-from .backends.parallel import (
-    ParallelPolicy,
-    pool_stats,
-    resolve_parallel,
-    shutdown_pool,
-)
+from .backends.parallel import pool_stats, shutdown_pool
 from .backends.device import GPU_V100, CPU_XEON_6254_DUAL, PCIE3_X16, DeviceSpec
 from .backends.perfmodel import PerformanceModel
 from .backends.calibration import (
@@ -263,9 +258,7 @@ __all__ = [
     "machine_fingerprint",
     "set_active_profile",
     "use_profile",
-    "ParallelPolicy",
     "pool_stats",
-    "resolve_parallel",
     "shutdown_pool",
     # kernels
     "KernelMatrix",

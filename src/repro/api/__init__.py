@@ -19,9 +19,13 @@ One stable front door over the whole library:
   process-wide LRU of factorized operators (see :mod:`repro.api.cache`);
 * :func:`run_sweep` — parameter sweeps that recycle construction across
   nearby kernel parameters (see :mod:`repro.api.sweep`);
-* :func:`solve_portfolio` — independent solve requests fanned out over the
-  calibrated thread pool (see :mod:`repro.api.portfolio` and
-  :mod:`repro.backends.parallel`).
+* :func:`solve_portfolio` — batches of independent solve requests.
+
+Whole independent solves are the only work that runs on host threads:
+``run_sweep(..., parallel=N)`` and ``solve_portfolio(..., parallel=N)``
+fan them out over ``N`` threads of a shared pool
+(:mod:`repro.backends.parallel`).  Everything inside one solve runs the
+serial level-batched schedule.
 
 >>> import repro
 >>> from repro.api import CompressionConfig, SolverConfig

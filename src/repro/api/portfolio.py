@@ -4,17 +4,12 @@ A *portfolio* is a batch of unrelated solve requests — different operators,
 different kernel parameters, different right-hand sides — with no
 cross-solve structure a :func:`repro.run_sweep` could recycle.  What they
 do share is the machine: each request's assembly + factorization is an
-independent unit of work dominated by GIL-releasing BLAS, so the requests
-themselves parallelise across the calibrated thread pool
-(:mod:`repro.backends.parallel`).
-
-:func:`solve_portfolio` fans the requests out with :func:`~repro.backends.
-parallel.run_tasks`: results — and every worker's kernel events — come
-back in submission order, so traces and counters are identical to running
-the requests serially.  Requests running on the pool execute their *inner*
-bucket/pipeline parallelism inline (nested dispatch is suppressed), which
-keeps the bounded pool deadlock-free and the machine fully but not
-oversubscribed.
+independent unit of work dominated by GIL-releasing BLAS, so with
+``parallel=N`` the requests run on ``N`` threads of the shared pool
+(:func:`~repro.backends.parallel.run_tasks`).  Results — and every
+worker's kernel events — come back in submission order, so traces and
+counters are identical to running the requests serially.  Each request
+itself runs the serial level-batched schedule.
 
 The shared :class:`~repro.api.cache.OperatorCache` is reused under its
 existing lock: identical ``(problem, config)`` requests hit the cache and
@@ -27,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional, Sequence, Union
 
-from ..backends.parallel import resolve_parallel, run_tasks
+from ..backends.parallel import check_workers, run_tasks
 from .config import SolverConfig
 from .facade import CacheLike, ProblemLike, SolveResult, solve
 
@@ -46,9 +41,9 @@ def solve_portfolio(
     compute_residual: Union[bool, str] = True,
     tuning: Optional[str] = None,
     cache: CacheLike = True,
-    parallel: Optional[Any] = None,
+    parallel: int = 1,
 ) -> List[SolveResult]:
-    """Solve a batch of independent problems, concurrently when profitable.
+    """Solve a batch of independent problems, optionally on pool threads.
 
     Parameters
     ----------
@@ -68,19 +63,15 @@ def solve_portfolio(
         :class:`~repro.api.cache.OperatorCache`, so identical
         ``(problem, config)`` entries factorize once.
     parallel:
-        How the *portfolio* fans out: ``"off"`` runs the entries serially
-        in order, ``"auto"`` / an int / a
-        :class:`~repro.backends.parallel.ParallelPolicy` dispatches them to
-        the shared pool, and ``None`` (default) defers to the
-        ``REPRO_PARALLEL`` environment variable.  Entries' own ``parallel``
-        config fields keep governing their inner bucket dispatch when the
-        portfolio itself runs serially.
+        Worker count (an ``int >= 1``).  ``1`` (default) solves the entries
+        serially in order; ``N > 1`` runs them on ``N`` pool threads.
 
     Returns
     -------
     list of :class:`SolveResult`, in the order of ``problems`` regardless
     of completion order.
     """
+    workers = check_workers(parallel)
     specs = []
     for item in problems:
         if isinstance(item, Mapping):
@@ -109,7 +100,4 @@ def solve_portfolio(
             **params,
         )
 
-    # no element estimate: whole solves always clear any sensible per-task
-    # floor, so only the task count and worker availability gate dispatch
-    policy = resolve_parallel(parallel)
-    return run_tasks([lambda s=s: _solve_one(s) for s in specs], policy)
+    return run_tasks([lambda s=s: _solve_one(s) for s in specs], workers)

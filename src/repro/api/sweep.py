@@ -80,7 +80,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg as sla
 
-from ..backends.parallel import resolve_parallel, run_tasks
+from ..backends.parallel import check_workers, run_tasks
 from ..core.hodlr import HODLRMatrix
 from ..core.low_rank import LowRankFactor
 from ..core.solver import SolveStats
@@ -710,7 +710,7 @@ def _config_sweep(
     rhs: Optional[np.ndarray],
     compute_residual: bool,
     keep_operators: bool = True,
-    policy: Optional[Any] = None,
+    workers: int = 1,
 ) -> SweepResult:
     """Sweep solver configs over one fixed problem, sharing assembly."""
     from .facade import assemble
@@ -734,8 +734,8 @@ def _config_sweep(
 
     # phase 2: factorize + solve per config.  Each step builds its own
     # operator from the shared (read-only from here on) assembled problem,
-    # so the steps are independent and run on the pool when a parallel
-    # policy is active; run_tasks inlines them, in order, when it is not
+    # so the steps are independent and run on the pool when workers > 1;
+    # run_tasks inlines them, in order, when workers == 1
     def _config_step(cfg: SolverConfig, key: Any, recycled: bool) -> SweepStep:
         assembled = assembled_by_comp[key]
         t_start = time.perf_counter()
@@ -789,7 +789,7 @@ def _config_sweep(
             lambda cfg=cfg, key=key, rec=rec: _config_step(cfg, key, rec)
             for cfg, key, rec in zip(configs, keys, recycled_flags)
         ],
-        policy,
+        workers,
     )
     return SweepResult(steps=steps)
 
@@ -808,7 +808,7 @@ def run_sweep(
     keep_workspace: bool = False,
     keep_operators: bool = False,
     tuning: Optional[str] = None,
-    parallel: Optional[Any] = None,
+    parallel: int = 1,
     **problem_params: Any,
 ) -> SweepResult:
     """Solve a family of related systems, recycling construction.
@@ -843,13 +843,11 @@ def run_sweep(
         memory; solutions, residuals, stats, and trace rows are always
         kept.
     parallel:
-        Concurrency of the *independent* sweep steps: ``"off"`` (serial),
-        ``"auto"``, an explicit worker count, or a
-        :class:`~repro.backends.parallel.ParallelPolicy`; ``None``
-        (default) defers to the ``REPRO_PARALLEL`` environment variable.
-        Non-incremental steps — config-sweep factorizations sharing a
+        Worker count for the *independent* sweep steps (an ``int >= 1``;
+        ``1``, the default, runs every step serially).  With ``N > 1``
+        the non-incremental steps — config-sweep factorizations sharing a
         read-only assembly, and parameter steps that fall back to full
-        solves — fan out over the shared pool.  Recycled workspace steps
+        solves — run on ``N`` threads of the shared pool.  Recycled workspace steps
         stay serial regardless: each one reads the skeletons the previous
         step's fallbacks may have refreshed, so their order is part of the
         algorithm.  Results and trace rows are identical to a serial run.
@@ -866,10 +864,10 @@ def run_sweep(
     """
     from .facade import _resolve_problem
 
+    workers = check_workers(parallel)
     configs = list(configs)
     if not configs:
         return SweepResult(steps=[])
-    policy = resolve_parallel(parallel)
     if all(isinstance(c, SolverConfig) for c in configs):
         if config is not None:
             raise ValueError(
@@ -877,7 +875,7 @@ def run_sweep(
             )
         problem_r, _ = _resolve_problem(problem, configs[0], problem_params, tuning)
         return _config_sweep(
-            problem_r, configs, rhs, compute_residual, keep_operators, policy
+            problem_r, configs, rhs, compute_residual, keep_operators, workers
         )
     if any(isinstance(c, SolverConfig) for c in configs):
         raise TypeError("configs mixes SolverConfig objects and parameter mappings")
@@ -905,7 +903,7 @@ def run_sweep(
     # the skeletons the previous step's fallbacks may have refreshed, so
     # their order is part of the algorithm, not an implementation detail
     slots: List[Optional[SweepStep]] = [None] * len(overrides)
-    if policy is not None:
+    if workers > 1:
         noninc = [
             i
             for i, ok in enumerate(recyclable)
@@ -919,7 +917,7 @@ def run_sweep(
                     )
                     for i in noninc
                 ],
-                policy,
+                workers,
             )
             for i, st in zip(noninc, full):
                 slots[i] = st

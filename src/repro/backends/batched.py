@@ -27,13 +27,9 @@ Design notes
   ``k`` kernel launches instead of one Python iteration per block.  The
   recorded event carries ``buckets=k`` and ``strided=True`` so the
   performance model charges ``k`` launches.
-* When the execution context carries a resolved :class:`~repro.backends.
-  parallel.ParallelPolicy`, the independent shape buckets of one logical
-  launch run concurrently on the shared bounded thread pool (the BLAS
-  kernels release the GIL), and uniform strided QR/SVD batches are
-  chunk-split across workers.  Accounting always stays on the caller
-  thread — each launch still records ONE event with analytic totals — so
-  traces and the CI counter gate are bit-identical to serial execution.
+* Buckets execute one after another on the calling thread.  Each logical
+  launch records ONE event with analytic totals, computed per bucket
+  rather than per block.
 * Passing ``policy=LOOP_POLICY`` (or ``DispatchPolicy(bucketing=False)``)
   restores the seed's per-block Python loop — the slow generic path a real
   cuBLAS pointer-array kernel degrades to — with ``strided=False`` recorded,
@@ -72,12 +68,6 @@ from .dispatch import (
     pad_pivot_stack,
     plan_batch,
     plan_batch_padded,
-)
-from .parallel import (
-    ParallelPolicy,
-    effective_workers,
-    run_tasks,
-    should_run_parallel,
 )
 
 ArrayBatch = Union[np.ndarray, Sequence[np.ndarray]]
@@ -123,15 +113,6 @@ def _resolve(
         if policy is None:
             policy = context.policy
     return backend or get_backend("numpy"), policy or DEFAULT_POLICY
-
-
-def _parallel_of(context: Optional[Any]) -> Optional[ParallelPolicy]:
-    """The context's resolved :class:`ParallelPolicy` (``None`` = serial).
-
-    Bucket-parallel dispatch is only reachable through a context — the
-    legacy ``backend=``/``policy=`` spelling always runs inline.
-    """
-    return getattr(context, "parallel", None) if context is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +196,7 @@ def gemm_batched(
         return results  # type: ignore[return-value]
 
     if pol.pad_buckets:
-        return _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol,
-                            _parallel_of(context))
+        return _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol)
 
     plan = plan_batch([(np.shape(A[i]), np.shape(B[i])) for i in range(nbatch)])
     # accounting is analytic per bucket (shapes are uniform within a bucket),
@@ -228,12 +208,6 @@ def gemm_batched(
     cplx = _is_complex(dtype)
     itemsize = np.dtype(dtype).itemsize
     rep_size = -1
-    # Each bucket's numeric work becomes a thunk writing disjoint `results`
-    # slots; accounting stays on the caller thread so the recorded event is
-    # identical whether the thunks run inline or on the pool.
-    par = _parallel_of(context)
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         shape_a, shape_b = bucket.key
@@ -245,45 +219,32 @@ def gemm_batched(
         a_elements = shape_a[0] * shape_a[1]
         b_elements = shape_b[0] * n if len(shape_b) == 2 else shape_b[0]
         if pol.pack_gemm_bucket(len(idx), a_elements, b_elements):
-            def _packed_bucket(idx=idx):
-                A3 = xb.stack([A[i] for i in idx])
-                B3 = xb.stack([B[i] for i in idx])
-                vector_rhs = B3.ndim == 2  # bucket of 1-D right-hand sides
-                if vector_rhs:
-                    B3 = B3[:, :, None]
-                if transpose_a or conjugate_a:
-                    opA3 = A3.transpose(0, 2, 1)
-                    if conjugate_a:
-                        opA3 = opA3.conj()
-                else:
-                    opA3 = A3
-                out3 = alpha * xb.matmul(opA3, B3)
-                if C is not None and beta != 0.0:
-                    C3 = xb.stack([C[i] for i in idx])
-                    out3 = out3 + beta * (C3[:, :, None] if C3.ndim == 2 else C3)
-                for j, i in enumerate(idx):
-                    results[i] = out3[j, :, 0] if vector_rhs else out3[j]
-
-            tasks.append(_packed_bucket)
+            A3 = xb.stack([A[i] for i in idx])
+            B3 = xb.stack([B[i] for i in idx])
+            vector_rhs = B3.ndim == 2  # bucket of 1-D right-hand sides
+            if vector_rhs:
+                B3 = B3[:, :, None]
+            if transpose_a or conjugate_a:
+                opA3 = A3.transpose(0, 2, 1)
+                if conjugate_a:
+                    opA3 = opA3.conj()
+            else:
+                opA3 = A3
+            out3 = alpha * xb.matmul(opA3, B3)
+            if C is not None and beta != 0.0:
+                C3 = xb.stack([C[i] for i in idx])
+                out3 = out3 + beta * (C3[:, :, None] if C3.ndim == 2 else C3)
+            for j, i in enumerate(idx):
+                results[i] = out3[j, :, 0] if vector_rhs else out3[j]
         else:
             # blocks too large to amortise the pack copy (or a singleton
             # bucket): tight per-problem execution, still one planned launch
-            def _loose_bucket(idx=idx):
-                for i in idx:
-                    Ci = xb.asarray(C[i]) if C is not None else None
-                    results[i] = _gemm_block(
-                        xb.asarray(A[i]), xb.asarray(B[i]), Ci,
-                        alpha, beta, transpose_a, conjugate_a,
-                    )
-
-            tasks.append(_loose_bucket)
+            _gemm_loose(idx, A, B, C, alpha, beta, transpose_a, conjugate_a, xb, results)
         total_flops += len(idx) * gemm_flops(m, n, k, cplx)
         total_bytes += float(len(idx) * (a_elements + b_elements + m * n) * itemsize)
-        total_elements += float(len(idx) * (a_elements + b_elements + m * n))
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (m, n, k)
-    run_tasks(tasks, par, elements=total_elements)
     _record_gemm(nbatch, shape_rep, total_flops, total_bytes, dtype,
                  strided=True, buckets=plan.num_buckets)
     return results  # type: ignore[return-value]
@@ -304,7 +265,16 @@ def _record_gemm(nbatch, shape_rep, flops, nbytes, dtype, strided, buckets):
     )
 
 
-def _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol, par=None):
+def _gemm_loose(idx, A, B, C, alpha, beta, transpose_a, conjugate_a, xb, results):
+    """Per-problem execution of one gemm bucket (no pack copy)."""
+    for i in idx:
+        Ci = xb.asarray(C[i]) if C is not None else None
+        results[i] = _gemm_block(
+            xb.asarray(A[i]), xb.asarray(B[i]), Ci, alpha, beta, transpose_a, conjugate_a
+        )
+
+
+def _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol):
     """Pad-to-bucket gemm execution (``DispatchPolicy.pad_buckets``).
 
     NOTE: this mirrors the packed-bucket branch of :func:`gemm_batched`
@@ -341,90 +311,72 @@ def _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol, par=No
     total_bytes = 0.0
     shape_rep: Tuple[int, int, int] = (0, 0, 0)
     rep_size = -1
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         a0, a1, n = bucket.key
         m, k = (a1, a0) if (transpose_a or conjugate_a) else (a0, a1)
         padded = any(dims[i] != bucket.key for i in idx)
         if pol.pack_gemm_bucket(len(idx), a0 * a1, k * n):
-            def _padded_bucket(idx=idx, a0=a0, a1=a1, n=n, m=m, k=k, padded=padded):
-                if padded:
-                    # promote over every member: a merged bucket may mix real
-                    # and complex operands, and the first member's dtype alone
-                    # would silently truncate the others
-                    bucket_dtype = np.result_type(
-                        *[_elem_dtype(A[i]) for i in idx],
-                        *[_elem_dtype(B[i]) for i in idx],
-                    )
-                    A3 = xb.zeros((len(idx), a0, a1), dtype=bucket_dtype)
-                    B3 = xb.zeros((len(idx), k, n), dtype=bucket_dtype)
-                    for j, i in enumerate(idx):
-                        ai0, ai1, ni = dims[i]
-                        A3[j, :ai0, :ai1] = A[i]
-                        Bi = B[i].reshape(-1, 1) if squeeze[i] else B[i]
-                        ki = ai0 if (transpose_a or conjugate_a) else ai1
-                        B3[j, :ki, :ni] = Bi
-                else:
-                    bucket_dtype = None
-                    A3 = xb.stack([A[i] for i in idx])
-                    B3 = xb.stack(
-                        [B[i].reshape(-1, 1) if squeeze[i] else B[i] for i in idx]
-                    )
-                if transpose_a or conjugate_a:
-                    opA3 = A3.transpose(0, 2, 1)
-                    if conjugate_a:
-                        opA3 = opA3.conj()
-                else:
-                    opA3 = A3
-                out3 = alpha * xb.matmul(opA3, B3)
-                if C is not None and beta != 0.0:
-                    if padded:
-                        C3 = xb.zeros(
-                            (len(idx), m, n),
-                            dtype=np.result_type(
-                                bucket_dtype, *[_elem_dtype(C[i]) for i in idx]
-                            ),
-                        )
-                        for j, i in enumerate(idx):
-                            Ci = C[i]
-                            Ci = Ci.reshape(-1, 1) if np.ndim(Ci) == 1 else Ci
-                            C3[j, : Ci.shape[0], : Ci.shape[1]] = Ci
-                    else:
-                        # a merged bucket may mix (m,) and (m, 1) C operands —
-                        # normalise per member, like B above
-                        C3 = xb.stack(
-                            [C[i].reshape(-1, 1) if np.ndim(C[i]) == 1 else C[i]
-                             for i in idx]
-                        )
-                    out3 = out3 + beta * C3
+            if padded:
+                # promote over every member: a merged bucket may mix real
+                # and complex operands, and the first member's dtype alone
+                # would silently truncate the others
+                bucket_dtype = np.result_type(
+                    *[_elem_dtype(A[i]) for i in idx],
+                    *[_elem_dtype(B[i]) for i in idx],
+                )
+                A3 = xb.zeros((len(idx), a0, a1), dtype=bucket_dtype)
+                B3 = xb.zeros((len(idx), k, n), dtype=bucket_dtype)
                 for j, i in enumerate(idx):
                     ai0, ai1, ni = dims[i]
-                    mi = ai1 if (transpose_a or conjugate_a) else ai0
-                    out = out3[j, :mi, :ni]
-                    results[i] = out[:, 0] if squeeze[i] else out
-
-            tasks.append(_padded_bucket)
+                    A3[j, :ai0, :ai1] = A[i]
+                    Bi = B[i].reshape(-1, 1) if squeeze[i] else B[i]
+                    ki = ai0 if (transpose_a or conjugate_a) else ai1
+                    B3[j, :ki, :ni] = Bi
+            else:
+                bucket_dtype = None
+                A3 = xb.stack([A[i] for i in idx])
+                B3 = xb.stack([B[i].reshape(-1, 1) if squeeze[i] else B[i] for i in idx])
+            if transpose_a or conjugate_a:
+                opA3 = A3.transpose(0, 2, 1)
+                if conjugate_a:
+                    opA3 = opA3.conj()
+            else:
+                opA3 = A3
+            out3 = alpha * xb.matmul(opA3, B3)
+            if C is not None and beta != 0.0:
+                if padded:
+                    C3 = xb.zeros(
+                        (len(idx), m, n),
+                        dtype=np.result_type(
+                            bucket_dtype, *[_elem_dtype(C[i]) for i in idx]
+                        ),
+                    )
+                    for j, i in enumerate(idx):
+                        Ci = C[i]
+                        Ci = Ci.reshape(-1, 1) if np.ndim(Ci) == 1 else Ci
+                        C3[j, : Ci.shape[0], : Ci.shape[1]] = Ci
+                else:
+                    # a merged bucket may mix (m,) and (m, 1) C operands —
+                    # normalise per member, like B above
+                    C3 = xb.stack(
+                        [C[i].reshape(-1, 1) if np.ndim(C[i]) == 1 else C[i] for i in idx]
+                    )
+                out3 = out3 + beta * C3
+            for j, i in enumerate(idx):
+                ai0, ai1, ni = dims[i]
+                mi = ai1 if (transpose_a or conjugate_a) else ai0
+                out = out3[j, :mi, :ni]
+                results[i] = out[:, 0] if squeeze[i] else out
         else:
             # above the pack crossover (or a singleton bucket): tight
             # per-problem execution, still one planned launch
-            def _loose_bucket(idx=idx):
-                for i in idx:
-                    Ci = xb.asarray(C[i]) if C is not None else None
-                    results[i] = _gemm_block(
-                        xb.asarray(A[i]), xb.asarray(B[i]), Ci,
-                        alpha, beta, transpose_a, conjugate_a,
-                    )
-
-            tasks.append(_loose_bucket)
+            _gemm_loose(idx, A, B, C, alpha, beta, transpose_a, conjugate_a, xb, results)
         total_flops += len(idx) * gemm_flops(m, n, k, cplx)
         total_bytes += float(len(idx) * (a0 * a1 + k * n + m * n) * itemsize)
-        total_elements += float(len(idx) * (a0 * a1 + k * n + m * n))
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (m, n, k)
-    run_tasks(tasks, par, elements=total_elements)
     _record_gemm(nbatch, shape_rep, total_flops, total_bytes, dtype,
                  strided=True, buckets=plan.num_buckets)
     return results
@@ -497,26 +449,6 @@ def gemm_strided_batched(
 # ----------------------------------------------------------------------
 # QR / SVD (batched construction kernels)
 # ----------------------------------------------------------------------
-def _chunk_slices(
-    nbatch: int, par: Optional[ParallelPolicy], elements: float
-) -> Optional[List[slice]]:
-    """Worker-aligned batch-axis slices for one uniform strided launch, or
-    ``None`` to stay inline.
-
-    The problems of a strided batch are mutually independent, so executing
-    the chunks concurrently and concatenating preserves per-problem results
-    bit-exactly; the wrapper still records ONE event for the whole batch.
-    """
-    if par is None:
-        return None
-    workers = effective_workers(par)
-    nchunks = min(workers, nbatch)
-    if nchunks < 2 or not should_run_parallel(par, nchunks, elements):
-        return None
-    bounds = [round(c * nbatch / nchunks) for c in range(nchunks + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
 def qr_batched(
     A: np.ndarray,
     backend: Optional[ArrayBackend] = None,
@@ -532,17 +464,7 @@ def qr_batched(
     if A.ndim != 3:
         raise ValueError("qr_batched expects a 3-D strided batch")
     xb, _ = _resolve(backend, None, context)
-    chunks = _chunk_slices(A.shape[0], _parallel_of(context), float(A.size))
-    if chunks is None:
-        Q, R = xb.qr_batch(A)
-    else:
-        parts = run_tasks(
-            [lambda s=s: xb.qr_batch(A[s]) for s in chunks],
-            _parallel_of(context),
-            elements=float(A.size),
-        )
-        Q = xb.concat([p[0] for p in parts], axis=0)
-        R = xb.concat([p[1] for p in parts], axis=0)
+    Q, R = xb.qr_batch(A)
     nbatch, m, n = A.shape
     cplx = _is_complex(A.dtype)
     record_event(
@@ -572,18 +494,7 @@ def svd_batched(
     if A.ndim != 3:
         raise ValueError("svd_batched expects a 3-D strided batch")
     xb, _ = _resolve(backend, None, context)
-    chunks = _chunk_slices(A.shape[0], _parallel_of(context), float(A.size))
-    if chunks is None:
-        U, s, Vh = xb.svd_batch(A)
-    else:
-        parts = run_tasks(
-            [lambda sl=sl: xb.svd_batch(A[sl]) for sl in chunks],
-            _parallel_of(context),
-            elements=float(A.size),
-        )
-        U = xb.concat([p[0] for p in parts], axis=0)
-        s = xb.concat([p[1] for p in parts], axis=0)
-        Vh = xb.concat([p[2] for p in parts], axis=0)
+    U, s, Vh = xb.svd_batch(A)
     nbatch, m, n = A.shape
     cplx = _is_complex(A.dtype)
     record_event(
@@ -698,7 +609,7 @@ def getrf_batched(
         return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
 
     if pol.pad_buckets:
-        return _getrf_padded(A, nbatch, pivot, xb, pol, _parallel_of(context))
+        return _getrf_padded(A, nbatch, pivot, xb, pol)
 
     plan = plan_batch([np.shape(A[i]) for i in range(nbatch)])
     for bucket in plan.buckets:
@@ -708,46 +619,39 @@ def getrf_batched(
     cplx = _is_complex(dtype)
     itemsize = np.dtype(dtype).itemsize
     rep_size = -1
-    # bucket thunks with disjoint `lus`/`pivs` writes; accounting stays on
-    # the caller thread (see gemm_batched)
-    par = _parallel_of(context)
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         n = bucket.key[0]
         if pol.vectorize_lu_factor(len(idx), n):
-            def _vector_bucket(idx=idx):
-                stack = xb.stack([A[i] for i in idx])
-                lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
-                for j, i in enumerate(idx):
-                    lus[i] = lu3[j]
-                    pivs[i] = piv3[j] if pivot else empty_piv
-
-            tasks.append(_vector_bucket)
+            stack = xb.stack([A[i] for i in idx])
+            lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
+            for j, i in enumerate(idx):
+                lus[i] = lu3[j]
+                pivs[i] = piv3[j] if pivot else empty_piv
         else:
             # blocks above the vectorisation crossover: blocked per-problem
             # LAPACK inside the bucket, still one planned launch
-            def _loop_bucket(idx=idx):
-                for i in idx:
-                    lu, piv = xb.lu_factor(xb.asarray(A[i]), pivot=pivot)
-                    lus[i] = lu
-                    pivs[i] = piv if pivot else empty_piv
-
-            tasks.append(_loop_bucket)
+            _getrf_loose(idx, A, pivot, xb, lus, pivs)
         total_flops += len(idx) * getrf_flops(n, cplx)
         total_bytes += float(len(idx) * 2 * n * n * itemsize)
-        total_elements += float(len(idx) * n * n)
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (n, n, 0)
-    run_tasks(tasks, par, elements=total_elements)
     _record_lu("getrf_batched", nbatch, shape_rep, total_flops, total_bytes,
                dtype, strided=True, buckets=plan.num_buckets)
     return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
 
 
-def _getrf_padded(A, nbatch, pivot, xb, pol, par=None):
+def _getrf_loose(idx, A, pivot, xb, lus, pivs):
+    """Per-problem LAPACK factorization of one LU bucket."""
+    empty_piv = np.empty(0, dtype=np.int64)
+    for i in idx:
+        lu, piv = xb.lu_factor(xb.asarray(A[i]), pivot=pivot)
+        lus[i] = lu
+        pivs[i] = piv if pivot else empty_piv
+
+
+def _getrf_padded(A, nbatch, pivot, xb, pol):
     """Pad-to-bucket LU factorization (``DispatchPolicy.pad_buckets``).
 
     Near-equal sizes merge into one **identity-bordered** padded bucket:
@@ -775,43 +679,30 @@ def _getrf_padded(A, nbatch, pivot, xb, pol, par=None):
     total_bytes = 0.0
     shape_rep = (0, 0, 0)
     rep_size = -1
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         n_pad = bucket.key[0]
         if pol.vectorize_lu_factor(len(idx), n_pad):
-            def _vector_bucket(idx=idx, n_pad=n_pad):
-                # the stack dtype must promote over *every* member (a merged
-                # bucket may mix real and complex blocks)
-                bucket_dtype = np.result_type(*[_elem_dtype(A[i]) for i in idx])
-                stack = pad_identity_stack(
-                    xb, [xb.asarray(A[i]) for i in idx], n_pad, bucket_dtype
-                )
-                lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
-                for j, i in enumerate(idx):
-                    m = dims[i][0]
-                    lus[i] = lu3[j, :m, :m]
-                    pivs[i] = piv3[j, :m] if pivot else empty_piv
-
-            tasks.append(_vector_bucket)
+            # the stack dtype must promote over *every* member (a merged
+            # bucket may mix real and complex blocks)
+            bucket_dtype = np.result_type(*[_elem_dtype(A[i]) for i in idx])
+            stack = pad_identity_stack(
+                xb, [xb.asarray(A[i]) for i in idx], n_pad, bucket_dtype
+            )
+            lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
+            for j, i in enumerate(idx):
+                m = dims[i][0]
+                lus[i] = lu3[j, :m, :m]
+                pivs[i] = piv3[j, :m] if pivot else empty_piv
         else:
             # a singleton (or tiny) bucket above the vectorisation
             # crossover: blocked per-problem LAPACK, no padding needed
-            def _loop_bucket(idx=idx):
-                for i in idx:
-                    lu, piv = xb.lu_factor(xb.asarray(A[i]), pivot=pivot)
-                    lus[i] = lu
-                    pivs[i] = piv if pivot else empty_piv
-
-            tasks.append(_loop_bucket)
+            _getrf_loose(idx, A, pivot, xb, lus, pivs)
         total_flops += len(idx) * getrf_flops(n_pad, cplx)
         total_bytes += float(len(idx) * 2 * n_pad * n_pad * itemsize)
-        total_elements += float(len(idx) * n_pad * n_pad)
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (n_pad, n_pad, 0)
-    run_tasks(tasks, par, elements=total_elements)
     _record_lu("getrf_batched", nbatch, shape_rep, total_flops, total_bytes,
                dtype, strided=True, buckets=plan.num_buckets)
     return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
@@ -865,8 +756,7 @@ def getrs_batched(
         return xs  # type: ignore[return-value]
 
     if pol.pad_buckets:
-        return _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol,
-                             _parallel_of(context))
+        return _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol)
 
     plan = plan_batch(
         [(factors.lu[i].shape[0], rhs2d[i].shape[1]) for i in range(nbatch)]
@@ -875,47 +765,39 @@ def getrs_batched(
     cplx = _is_complex(dtype)
     rhs_itemsize = np.dtype(dtype).itemsize
     rep_size = -1
-    # bucket thunks with disjoint `xs` writes; accounting stays on the
-    # caller thread (see gemm_batched)
-    par = _parallel_of(context)
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         n, nrhs = bucket.key
         lu_itemsize = factors.lu[idx[0]].dtype.itemsize
         if pol.vectorize_lu_solve(len(idx), n):
-            def _vector_bucket(idx=idx):
-                lu3 = xb.stack([factors.lu[i] for i in idx])
-                piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
-                rhs3 = xb.stack([rhs2d[i] for i in idx])
-                x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-                for j, i in enumerate(idx):
-                    xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
-
-            tasks.append(_vector_bucket)
+            lu3 = xb.stack([factors.lu[i] for i in idx])
+            piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
+            rhs3 = xb.stack([rhs2d[i] for i in idx])
+            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
+            for j, i in enumerate(idx):
+                xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
         else:
             # above the vectorisation crossover: BLAS-3 substitution per
             # problem inside the bucket, still one planned launch
-            def _loop_bucket(idx=idx):
-                for i in idx:
-                    x = xb.lu_solve(factors.lu[i], factors.piv[i], rhs2d[i], pivot=factors.pivot)
-                    xs[i] = x.ravel() if squeeze[i] else x
-
-            tasks.append(_loop_bucket)
+            _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs)
         total_flops += len(idx) * getrs_flops(n, nrhs, cplx)
         total_bytes += float(len(idx) * (n * n * lu_itemsize + 2 * n * nrhs * rhs_itemsize))
-        total_elements += float(len(idx) * (n * n + n * nrhs))
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (n, nrhs, 0)
-    run_tasks(tasks, par, elements=total_elements)
     _record_lu("getrs_batched", nbatch, shape_rep, total_flops, total_bytes,
                dtype, strided=True, buckets=plan.num_buckets)
     return xs  # type: ignore[return-value]
 
 
-def _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol, par=None):
+def _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs):
+    """Per-problem LAPACK substitution for one LU-solve bucket."""
+    for i in idx:
+        x = xb.lu_solve(factors.lu[i], factors.piv[i], rhs2d[i], pivot=factors.pivot)
+        xs[i] = x.ravel() if squeeze[i] else x
+
+
+def _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol):
     """Pad-to-bucket LU solve (``DispatchPolicy.pad_buckets``).
 
     Factors pad with an identity border and right-hand sides with zero
@@ -933,65 +815,44 @@ def _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol, par=None):
     total_bytes = 0.0
     shape_rep = (0, 0, 0)
     rep_size = -1
-    tasks: List[Any] = []
-    total_elements = 0.0
     for bucket in plan.buckets:
         idx = bucket.indices
         n_pad, nrhs_pad = bucket.key
         lu_itemsize = factors.lu[idx[0]].dtype.itemsize
-        if pol.vectorize_lu_solve(len(idx), n_pad):
-            def _vector_bucket(idx=idx, key=bucket.key, n_pad=n_pad, nrhs_pad=nrhs_pad):
-                padded = any(dims[i] != key for i in idx)
-                if padded:
-                    lu_dtype = np.result_type(*[factors.lu[i].dtype for i in idx])
-                    rhs_dtype = np.result_type(
-                        lu_dtype, *[rhs2d[i].dtype for i in idx]
-                    )
-                    lu3 = pad_identity_stack(
-                        xb, [factors.lu[i] for i in idx], n_pad, lu_dtype
-                    )
-                    piv3 = pad_pivot_stack(
-                        [factors.piv[i] for i in idx],
-                        [dims[i][0] for i in idx],
-                        n_pad,
-                    )
-                    rhs3 = xb.zeros((len(idx), n_pad, nrhs_pad), dtype=rhs_dtype)
-                    for j, i in enumerate(idx):
-                        n, nrhs = dims[i]
-                        rhs3[j, :n, :nrhs] = rhs2d[i]
-                    x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-                    for j, i in enumerate(idx):
-                        n, nrhs = dims[i]
-                        x = x3[j, :n, :nrhs]
-                        xs[i] = x.ravel() if squeeze[i] else x
-                else:
-                    lu3 = xb.stack([factors.lu[i] for i in idx])
-                    piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
-                    rhs3 = xb.stack([rhs2d[i] for i in idx])
-                    x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-                    for j, i in enumerate(idx):
-                        xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
-
-            tasks.append(_vector_bucket)
-        else:
+        if not pol.vectorize_lu_solve(len(idx), n_pad):
             # above the vectorisation crossover: BLAS-3 substitution per
             # problem inside the bucket, still one planned launch
-            def _loop_bucket(idx=idx):
-                for i in idx:
-                    x = xb.lu_solve(factors.lu[i], factors.piv[i], rhs2d[i],
-                                    pivot=factors.pivot)
-                    xs[i] = x.ravel() if squeeze[i] else x
-
-            tasks.append(_loop_bucket)
+            _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs)
+        elif any(dims[i] != bucket.key for i in idx):
+            lu_dtype = np.result_type(*[factors.lu[i].dtype for i in idx])
+            rhs_dtype = np.result_type(lu_dtype, *[rhs2d[i].dtype for i in idx])
+            lu3 = pad_identity_stack(xb, [factors.lu[i] for i in idx], n_pad, lu_dtype)
+            piv3 = pad_pivot_stack(
+                [factors.piv[i] for i in idx], [dims[i][0] for i in idx], n_pad
+            )
+            rhs3 = xb.zeros((len(idx), n_pad, nrhs_pad), dtype=rhs_dtype)
+            for j, i in enumerate(idx):
+                n, nrhs = dims[i]
+                rhs3[j, :n, :nrhs] = rhs2d[i]
+            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
+            for j, i in enumerate(idx):
+                n, nrhs = dims[i]
+                x = x3[j, :n, :nrhs]
+                xs[i] = x.ravel() if squeeze[i] else x
+        else:
+            lu3 = xb.stack([factors.lu[i] for i in idx])
+            piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
+            rhs3 = xb.stack([rhs2d[i] for i in idx])
+            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
+            for j, i in enumerate(idx):
+                xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
         total_flops += len(idx) * getrs_flops(n_pad, nrhs_pad, cplx)
         total_bytes += float(
             len(idx) * (n_pad * n_pad * lu_itemsize + 2 * n_pad * nrhs_pad * rhs_itemsize)
         )
-        total_elements += float(len(idx) * (n_pad * n_pad + n_pad * nrhs_pad))
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (n_pad, nrhs_pad, 0)
-    run_tasks(tasks, par, elements=total_elements)
     _record_lu("getrs_batched", nbatch, shape_rep, total_flops, total_bytes,
                dtype, strided=True, buckets=plan.num_buckets)
     return xs  # type: ignore[return-value]

@@ -58,7 +58,6 @@ import platform
 import sys
 import threading
 import time  # repro-lint: file-ignore[RL004] -- calibration exists to measure kernel wall-clock; sweeps are not tests
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -76,7 +75,8 @@ from .perfmodel import PerformanceModel
 #: cached profiles with a different version are re-measured.
 #: v2: parallel-efficiency sweep (parallel_workers / parallel_efficiency /
 #: parallel_min_elements) joined the schema.
-PROFILE_VERSION = 2
+#: v3: the parallel-efficiency sweep and its three fields left the schema.
+PROFILE_VERSION = 3
 
 #: relative residual floor of a float32-demoted factorization/plan
 #: (unit roundoff of float32 with a modest accumulation constant).
@@ -158,14 +158,6 @@ class MachineProfile:
     peak_gflops: float = 50.0
     mem_bandwidth: float = 2.0e10
 
-    # measured parallel efficiency (thread-pooled chunked kernels vs serial)
-    #: worker count with the best measured throughput (1 = no win: serial)
-    parallel_workers: int = 1
-    #: speedup at ``parallel_workers`` divided by the worker count
-    parallel_efficiency: float = 1.0
-    #: smallest per-task element count where pool dispatch still won
-    parallel_min_elements: int = 65536
-
     #: raw sweep measurements: name -> list of [x, t_fast_path, t_loop] rows
     curves: Dict[str, List[List[float]]] = field(default_factory=dict)
 
@@ -185,19 +177,6 @@ class MachineProfile:
         )
         kwargs.update(overrides)
         return DispatchPolicy(**kwargs)
-
-    def parallel_policy(self, **overrides: Any):
-        """The measured :class:`~repro.backends.parallel.ParallelPolicy` for
-        this host: calibrated worker count and per-task element floor
-        (``workers=1`` when the sweep found no multi-worker win)."""
-        from .parallel import ParallelPolicy
-
-        kwargs: Dict[str, Any] = dict(
-            workers=self.parallel_workers,
-            min_task_elements=self.parallel_min_elements,
-        )
-        kwargs.update(overrides)
-        return ParallelPolicy(**kwargs)
 
     def device_spec(self) -> DeviceSpec:
         """A :class:`DeviceSpec` describing this host's measured envelope."""
@@ -404,85 +383,6 @@ def _sweep_lu_solve(
     return max_n, float(np.clip(ratio, 1.0, 16.0)), rows
 
 
-def _sweep_parallel(
-    rng: np.random.Generator, repeats: int
-) -> Tuple[int, float, int, List[List[float]]]:
-    """Parallel-efficiency sweep: thread-pooled chunked gemm vs one call.
-
-    Measures the workload the pool actually runs — independent chunks of a
-    batched gemm on a bounded ``ThreadPoolExecutor`` (the BLAS underneath
-    releases the GIL) — at candidate worker counts, and fits
-
-    * ``parallel_workers``: the worker count with the best throughput
-      (1 when no candidate beats serial by a meaningful margin),
-    * ``parallel_efficiency``: its speedup divided by the worker count,
-    * ``parallel_min_elements``: the smallest per-task element count at
-      which a 2-worker split still beat the fused serial call.
-
-    Rows are ``[workers, t_parallel, t_serial]`` followed by the
-    min-elements probe as ``[-elements, t_parallel, t_serial]``.
-    """
-    ncpu = os.cpu_count() or 1
-    rows: List[List[float]] = []
-    if ncpu <= 1:
-        return 1, 1.0, 65536, rows
-
-    nb, n = 64, 96
-    stacks = rng.standard_normal((nb, n, n))
-    others = rng.standard_normal((nb, n, n))
-    t_serial = _best_of(lambda: np.matmul(stacks, others), repeats)
-
-    def chunked(k: int) -> float:
-        bounds = np.linspace(0, nb, k + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=k) as pool:
-
-            def run():
-                futs = [
-                    pool.submit(np.matmul, stacks[lo:hi], others[lo:hi])
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-                for f in futs:
-                    f.result()
-
-            return _best_of(run, repeats)
-
-    best_k, best_t = 1, t_serial
-    for k in sorted({k for k in (2, 4, 8, ncpu) if 2 <= k <= ncpu}):
-        tk = chunked(k)
-        rows.append([float(k), tk, t_serial])
-        if tk < best_t:
-            best_k, best_t = k, tk
-    if best_t > 0.95 * t_serial:  # no meaningful win on this host
-        return 1, 1.0, 65536, rows
-    efficiency = float(np.clip(t_serial / (best_t * best_k), 0.0, 1.0))
-
-    # per-task element floor: shrink the per-chunk work until the 2-way
-    # split stops winning; the floor is the last size where it still won
-    min_elements = 65536
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for n_small in (128, 64, 32, 16):
-            a = rng.standard_normal((8, n_small, n_small))
-            b = rng.standard_normal((8, n_small, n_small))
-
-            def par(a=a, b=b):
-                futs = [
-                    pool.submit(np.matmul, a[:4], b[:4]),
-                    pool.submit(np.matmul, a[4:], b[4:]),
-                ]
-                for f in futs:
-                    f.result()
-
-            tp = _best_of(par, repeats)
-            ts = _best_of(lambda a=a, b=b: np.matmul(a, b), repeats)
-            elements = 4 * n_small * n_small
-            rows.append([-float(elements), tp, ts])
-            if tp <= ts:
-                min_elements = elements
-            else:
-                break
-    return best_k, efficiency, int(np.clip(min_elements, 1024, 1 << 20)), rows
-
-
 def _measure_machine(
     rng: np.random.Generator, repeats: int
 ) -> Tuple[float, float, float]:
@@ -537,9 +437,6 @@ def measure_profile(repeats: int = 3, seed: int = 0) -> MachineProfile:
     )
     lu_solve_max_n, lu_solve_ratio, curves["lu_solve"] = _sweep_lu_solve(rng, repeats)
     launch, peak_gflops, bandwidth = _measure_machine(rng, repeats)
-    par_workers, par_eff, par_min_elements, curves["parallel"] = _sweep_parallel(
-        rng, repeats
-    )
 
     return MachineProfile(
         version=PROFILE_VERSION,
@@ -555,9 +452,6 @@ def measure_profile(repeats: int = 3, seed: int = 0) -> MachineProfile:
         launch_overhead=launch,
         peak_gflops=peak_gflops,
         mem_bandwidth=bandwidth,
-        parallel_workers=par_workers,
-        parallel_efficiency=par_eff,
-        parallel_min_elements=par_min_elements,
         curves=curves,
     )
 
@@ -603,8 +497,8 @@ def calibrate(
     return profile
 
 
-#: guards the process-wide active profile — pool workers resolving
-#: ``policy="auto"`` may race the first lazy calibration
+#: guards the process-wide active profile — concurrent sweep or portfolio
+#: solves resolving ``policy="auto"`` may race the first lazy calibration
 _ACTIVE_LOCK = threading.RLock()
 
 #: process-wide active profile (lazily calibrated on first "auto" use)

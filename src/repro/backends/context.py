@@ -26,11 +26,6 @@ immutable object that is threaded through every layer of the stack:
     (possibly demoted) dtype of the compiled apply plan, the accumulation
     dtype of demoted products, and whether direct solves run one step of
     iterative refinement to recover full-precision residuals.
-``parallel``
-    The resolved :class:`~repro.backends.parallel.ParallelPolicy` (or
-    ``None`` for serial execution).  ``None`` on input consults the
-    ``REPRO_PARALLEL`` environment variable; ``"off"`` pins serial
-    execution, reproducing the pre-parallel behaviour exactly.
 
 Transfers are explicit and happen only at the facade boundary:
 :meth:`ExecutionContext.to_device` / :meth:`ExecutionContext.to_host`.
@@ -222,8 +217,6 @@ class ExecutionContext:
     backend: Union[str, ArrayBackend] = "numpy"
     policy: Union[str, DispatchPolicy] = field(default_factory=lambda: DEFAULT_POLICY)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    #: resolved to Optional[ParallelPolicy] on construction (None = serial)
-    parallel: Any = None
 
     def __post_init__(self) -> None:
         if isinstance(self.backend, str):
@@ -248,12 +241,6 @@ class ExecutionContext:
             raise TypeError(
                 f"precision must be a PrecisionPolicy, got {self.precision!r}"
             )
-        # "off"/"auto"/int/mapping/None -> Optional[ParallelPolicy]; worker
-        # count resolution of "auto" stays lazy (first pool decision), so a
-        # context never triggers calibration just by existing
-        from .parallel import resolve_parallel
-
-        object.__setattr__(self, "parallel", resolve_parallel(self.parallel))
 
     # ------------------------------------------------------------------
     # placement

@@ -9,12 +9,12 @@ model (:mod:`repro.backends.perfmodel`) and for the GFlop/s figures
 
 Recording is cheap relative to the numerical work (a few large batched
 launches per tree level) and is **thread-safe with deterministic merge
-order**: the recorder's trace stack and ambient context are thread-local,
-workers of the shared pool (:mod:`repro.backends.parallel`) record into
-detached per-task sub-traces (:meth:`TraceRecorder.subtrace`), and the
-coordinator absorbs them in stable task-index order
-(:meth:`TraceRecorder.absorb`) — never completion order — so parallel
-runs produce byte-identical traces equal to the serial event sequence.
+order**: the recorder's trace stack and ambient context are thread-local.
+Whole solves fanned out by sweeps and portfolios
+(:mod:`repro.backends.parallel`) record into detached per-task sub-traces
+(:meth:`TraceRecorder.subtrace`), and the coordinator absorbs them in
+task order (:meth:`TraceRecorder.absorb`) — never completion order — so a
+fanned-out run produces the same trace as the serial event sequence.
 """
 
 from __future__ import annotations
@@ -192,10 +192,10 @@ class TraceRecorder:
     State (the trace stack and the ambient level/tag/stream context) is
     **thread-local**: each thread records into its own stack, so pool
     workers never contend with — or interleave into — the coordinator's
-    trace.  The parallel executor captures the coordinator's ambient
-    context (:meth:`capture_ambient`), installs it in each worker's
-    detached :meth:`subtrace`, and merges the sub-traces back with
-    :meth:`absorb` in stable task-index order.
+    trace.  :func:`~repro.backends.parallel.run_tasks` captures the
+    coordinator's ambient context (:meth:`capture_ambient`), installs it in
+    each worker's detached :meth:`subtrace`, and merges the sub-traces back
+    with :meth:`absorb` in stable task-index order.
     """
 
     def __init__(self) -> None:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..backends.dispatch import ArrayBackend, get_backend
-from .cluster_tree import ClusterTree, TreeNode
+from .cluster_tree import ClusterTree
 from .hodlr import HODLRMatrix
 
 
@@ -191,61 +191,6 @@ class BigMatrices:
         if not 0 <= level <= self.tree.levels:
             raise ValueError(f"level {level} out of range [0, {self.tree.levels}]")
         return slice(0, self.col_offsets[level])
-
-    def node_rows(self, node: TreeNode) -> slice:
-        return slice(node.start, node.stop)
-
-    def uniform_leaf_size(self) -> Optional[int]:
-        """Common leaf size if all leaves are equal, else ``None``."""
-        sizes = {leaf.size for leaf in self.tree.leaves}
-        return sizes.pop() if len(sizes) == 1 else None
-
-    def uniform_node_size(self, level: int) -> Optional[int]:
-        """Common node size at a level if uniform, else ``None``."""
-        sizes = {nd.size for nd in self.tree.level_nodes(level)}
-        return sizes.pop() if len(sizes) == 1 else None
-
-    def leaf_blocks_stacked(self) -> Optional[np.ndarray]:
-        """All leaf diagonal blocks as a 3-D array if leaf sizes are uniform."""
-        m = self.uniform_leaf_size()
-        if m is None:
-            return None
-        leaves = self.tree.leaves
-        first = self.Dbig[leaves[0].index]
-        if type(first) is np.ndarray:
-            out = np.empty((len(leaves), m, m), dtype=self.dtype)
-            for i, leaf in enumerate(leaves):
-                out[i] = self.Dbig[leaf.index]
-            return out
-        # non-NumPy blocks (device arrays, recording stubs): np.stack
-        # dispatches to the blocks' own array library, no host copy
-        return np.stack([self.Dbig[leaf.index] for leaf in leaves])
-
-    def block_rows(self, level: int, cols: slice, matrix: np.ndarray) -> List[np.ndarray]:
-        """Row blocks of ``matrix[:, cols]`` partitioned by the nodes at ``level``.
-
-        This is the ``block-row view`` (superscript ``ell`` notation) of
-        Table I in the paper.  The returned arrays are *views* into the big
-        matrix, so writing to them updates the underlying storage.
-        """
-        return [matrix[nd.start : nd.stop, cols] for nd in self.tree.level_nodes(level)]
-
-    def block_rows_stacked(
-        self, level: int, cols: slice, matrix: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Strided (3-D) block-row view when all nodes at ``level`` have equal size.
-
-        Returns ``None`` if node sizes differ (the pointer-array path must be
-        used) or if the underlying memory cannot be exposed without a copy.
-        """
-        size = self.uniform_node_size(level)
-        if size is None:
-            return None
-        sub = matrix[:, cols]
-        nnodes = 2 ** level
-        if sub.shape[0] != nnodes * size:
-            return None
-        return sub.reshape(nnodes, size, sub.shape[1])
 
     def storage_report(self) -> Dict[str, float]:
         d = float(sum(v.nbytes for v in self.Dbig.values()))

@@ -79,7 +79,6 @@ from ..backends.dispatch import (
     plan_batch,
     plan_batch_padded,
 )
-from ..backends.parallel import run_tasks
 from .packing import GatherScatter, demote_rhs_dtype, pack_stack
 
 
@@ -574,20 +573,14 @@ def build_factor_plan(
     rec = get_recorder()
     Ybig = data.Ubig.copy()
 
-    # ---- leaves: one packed LU + one packed substitution per size bucket.
-    # Same-level buckets are mutually independent (disjoint leaf row ranges
-    # of Ybig), so under a parallel context each bucket becomes a pool task;
-    # run_tasks returns results — and absorbs each task's kernel events —
-    # in bucket order, keeping the trace identical to serial.
+    # ---- leaves: one packed LU + one packed substitution per size bucket
     leaves = tree.leaves
+    leaf_buckets: List[_LeafBucket] = []
     with rec.context(level=tree.levels):
-        plan_buckets = _leaf_plan_buckets(tree, pol)
-
-        def _leaf_task(bucket):
+        for bucket in _leaf_plan_buckets(tree, pol):
             M = bucket.key[0]
             members = [leaves[i] for i in bucket.indices]
-            padded = any(leaf.size != M for leaf in members)
-            if padded:
+            if any(leaf.size != M for leaf in members):
                 D3 = pad_identity_stack(
                     xb, [data.Dbig[leaf.index] for leaf in members], M, dtype
                 )
@@ -600,16 +593,9 @@ def build_factor_plan(
             if Ybig.shape[1]:
                 sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Ybig), pivot=True)
                 gs.put(Ybig, sol3)
-            return _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
-
-        leaf_elements = float(
-            sum(len(b.indices) * b.key[0] * b.key[0] for b in plan_buckets)
-        )
-        leaf_buckets: List[_LeafBucket] = run_tasks(
-            [lambda b=b: _leaf_task(b) for b in plan_buckets],
-            getattr(ctx, "parallel", None),
-            elements=leaf_elements,
-        )
+            leaf_buckets.append(
+                _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
+            )
 
     # ---- level sweep, bottom-up
     sweeps: List[_LevelSweep] = []
@@ -630,10 +616,8 @@ def build_factor_plan(
             Vsub = data.Vbig[:, child_cols]
             T_all = xb.zeros((nchild, r, r), dtype=dtype)
 
-            # same-level buckets touch disjoint `pos` rows of T_all: each
-            # becomes a pool task under a parallel context (results and
-            # kernel events come back in bucket order — see the leaf loop)
-            def _bucket_task(b):
+            buckets: List[_SweepBucket] = []
+            for b in _child_plan_buckets(children, r, pol):
                 M = b.key[0]
                 members = [children[i] for i in b.indices]
                 gs = GatherScatter.from_ranges(
@@ -644,16 +628,7 @@ def build_factor_plan(
                 pos = np.asarray(b.indices, dtype=np.intp)
                 # line 5: T = V^* Y, one strided launch per bucket
                 T_all[pos] = gemm_strided_batched(Vh3, Y3, backend=xb)
-                return _SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3)
-
-            child_buckets = _child_plan_buckets(children, r, pol)
-            buckets: List[_SweepBucket] = run_tasks(
-                [lambda b=b: _bucket_task(b) for b in child_buckets],
-                getattr(ctx, "parallel", None),
-                elements=float(
-                    sum(2 * len(b.indices) * b.key[0] * r for b in child_buckets)
-                ),
-            )
+                buckets.append(_SweepBucket(pos=pos, gs=gs, Y3=Y3, Vh3=Vh3))
 
             # lines 7-8: assemble and LU-factorize the K systems
             K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
@@ -674,35 +649,16 @@ def build_factor_plan(
             if ncoarse:
                 Ycsub = Ybig[:, coarse_cols]
                 w_all = xb.zeros((nchild, r, ncoarse), dtype=dtype)
-                gemm_elements = float(
-                    sum(2 * len(bk.pos) * bk.Y3.shape[1] * r for bk in buckets)
-                ) * max(1, ncoarse)
-
-                def _project_task(bk):
-                    # disjoint w_all rows per bucket
+                for bk in buckets:
                     w_all[bk.pos] = gemm_strided_batched(
                         bk.Vh3, bk.gs.take(Ycsub), backend=xb
                     )
-
-                run_tasks(
-                    [lambda bk=bk: _project_task(bk) for bk in buckets],
-                    getattr(ctx, "parallel", None),
-                    elements=gemm_elements,
-                )
                 K_rhs = _pair_rhs(w_all, len(gammas), r, pivot)
                 W = _getrs_packed(xb, pol, k_lu3, k_piv3, K_rhs, pivot=pivot)
                 W_half = W.reshape(nchild, r, ncoarse)
-
-                def _update_task(bk):
-                    # disjoint Ycsub row ranges per bucket
+                for bk in buckets:
                     upd = gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb)
                     bk.gs.sub(Ycsub, upd)
-
-                run_tasks(
-                    [lambda bk=bk: _update_task(bk) for bk in buckets],
-                    getattr(ctx, "parallel", None),
-                    elements=gemm_elements,
-                )
 
     return FactorPlan(
         tree=tree,

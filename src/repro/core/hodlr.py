@@ -44,7 +44,6 @@ import numpy as np
 
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.dispatch import ArrayBackend, DispatchPolicy, plan_batch
-from ..backends.parallel import prefetch_iter
 from .apply_plan import ApplyPlan
 from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
@@ -558,16 +557,10 @@ def _build_hodlr_batched(
     V: Dict[int, np.ndarray] = {}
     xb = context.backend
 
-    # leaf diagonal blocks: one gather per leaf-size bucket.  With a
-    # parallel context the gather/evaluate stage runs one chunk ahead on a
-    # pool worker (bounded two-deep pipeline) while this thread scatters;
-    # chunk order — and therefore the result — is unchanged.
+    # leaf diagonal blocks: one gather per leaf-size bucket
     leaves = tree.leaves
     leaf_rows = [leaf.indices for leaf in leaves]
-    for chunk, stack in prefetch_iter(
-        _gather_chunks(evaluator, multi, leaf_rows, leaf_rows, dtype, xb),
-        context.parallel,
-    ):
+    for chunk, stack in _gather_chunks(evaluator, multi, leaf_rows, leaf_rows, dtype, xb):
         for j, i in enumerate(chunk):
             diag[leaves[i].index] = stack[j]
 
@@ -606,17 +599,12 @@ def _build_hodlr_batched(
                 )
         else:
             # each shape-bucket chunk is materialised once as a strided stack
-            # and compressed in place — no per-block intermediate copies.
-            # Under a parallel context the kernel evaluation of chunk k+1
-            # overlaps this thread's compression of chunk k; the shared rng
-            # is consumed only here, in chunk order, so the factors are
-            # bit-identical to the serial schedule.
+            # and compressed in place — no per-block intermediate copies
             row_sets = [nd.indices for nd in row_nodes]
             col_sets = [nd.indices for nd in col_nodes]
             rng = config.generator()
-            for chunk, stack in prefetch_iter(
-                _gather_chunks(evaluator, multi, row_sets, col_sets, dtype, xb),
-                context.parallel,
+            for chunk, stack in _gather_chunks(
+                evaluator, multi, row_sets, col_sets, dtype, xb
             ):
                 compressed = compress_block_stack(stack, config, context=context, rng=rng)
                 for i, f in zip(chunk, compressed):

@@ -161,6 +161,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match="stream_cutoff"):
             SolverConfig.from_dict(data)
 
+    def test_from_dict_rejects_removed_parallel(self):
+        data = SolverConfig().to_dict()
+        assert "parallel" not in data
+        data["parallel"] = "auto"
+        with pytest.raises(ConfigError, match="parallel"):
+            SolverConfig.from_dict(data)
+
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()
         assert cfg.replace(tol=1e-3).compression.tol == 1e-3

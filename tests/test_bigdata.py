@@ -84,8 +84,9 @@ class TestRoundTrip:
 
 class TestViews:
     def test_uniform_leaf_size(self, packed):
-        assert packed.uniform_leaf_size() == 32
-        stacked = packed.leaf_blocks_stacked()
+        leaves = packed.tree.leaves
+        assert {leaf.size for leaf in leaves} == {32}
+        stacked = np.stack([packed.Dbig[leaf.index] for leaf in leaves])
         assert stacked.shape == (packed.tree.num_leaves, 32, 32)
 
     def test_non_uniform_leaf_size(self):
@@ -93,13 +94,20 @@ class TestViews:
         tree = ClusterTree.balanced(100, leaf_size=16)
         H = build_hodlr(A, tree, tol=1e-10, method="svd")
         packed = BigMatrices.from_hodlr(H)
-        if packed.uniform_leaf_size() is None:
-            assert packed.leaf_blocks_stacked() is None
+        assert len({leaf.size for leaf in tree.leaves}) > 1
+        for leaf in tree.leaves:
+            assert packed.Dbig[leaf.index].shape == (leaf.size, leaf.size)
+            np.testing.assert_array_equal(
+                packed.Ubig[leaf.start : leaf.stop, packed.level_cols(tree.levels)][
+                    :, : H.U[leaf.index].shape[1]
+                ],
+                H.U[leaf.index],
+            )
 
     def test_block_rows_are_views(self, packed, small_tree):
         level = small_tree.levels
         cols = packed.level_cols(level)
-        blocks = packed.block_rows(level, cols, packed.Ubig)
+        blocks = [packed.Ubig[nd.start : nd.stop, cols] for nd in small_tree.level_nodes(level)]
         assert len(blocks) == 2 ** level
         blocks[0][0, 0] = 123.456
         assert packed.Ubig[0, cols.start] == 123.456

@@ -333,21 +333,6 @@ class TestOperatorUpdate:
         with pytest.raises(ValueError):
             op.update()
 
-    def test_parallel_auto_agrees(self):
-        A_old, A_new, where, _ = _insert_problem(k=3, seed=19)
-        cfg = {"compression": {"tol": 1e-12, "method": "svd"}}
-        results = []
-        for par in ("off", "auto"):
-            op = repro.build_operator(A_old, config=cfg, parallel=par)
-            op.solve(np.ones(A_old.shape[0]))
-            op.update(source=_entries(A_new), points_added=where, tol=1e-12)
-            b = np.random.default_rng(6).standard_normal(A_new.shape[0])
-            results.append(op.solve(b))
-        assert (
-            np.linalg.norm(results[0] - results[1]) / np.linalg.norm(results[0])
-            < 1e-10
-        )
-
 
 class TestCacheInvalidation:
     def test_update_invalidates_cached_operator(self):
