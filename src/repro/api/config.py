@@ -94,8 +94,9 @@ class CompressionConfig:
         Points per proxy circle (``method="proxy"`` only).
     construction:
         ``"batched"`` (default) builds the HODLR approximation level-major
-        through the shape-bucketed batched kernels (one gathered entry
-        evaluation and one batched compression per tree level);
+        through the shape-bucketed batched kernels (per shape bucket of a
+        tree level: one gathered entry evaluation and one batched
+        compression, or for ``rook`` one lockstep cross approximation);
         ``"loop"`` is the node-major per-block baseline the benchmarks
         measure against.
     """

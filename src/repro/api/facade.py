@@ -298,6 +298,12 @@ def build_operator(
     return operator
 
 
+def _require_finite(name: str, *values: Any) -> None:
+    """Raise ``ValueError`` when one of ``values`` holds a NaN or an infinity."""
+    if any(v is not None and not np.isfinite(np.asarray(v)).all() for v in values):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+
+
 def update_operator(
     operator: HODLROperator,
     *,
@@ -327,7 +333,10 @@ def update_operator(
     ``n, ..., n+k-1``), and any process-wide operator-cache entries
     referencing it are invalidated — a cached ``(problem, config)`` key
     must not resolve to an operator that no longer matches the problem.
+    A non-finite ``diag_shift`` or ``low_rank`` raises ``ValueError``.
     """
+    _require_finite("diag_shift", diag_shift)
+    _require_finite("low_rank", *(low_rank or ()))
     operator.update(
         source=source,
         points_added=points_added,
@@ -387,12 +396,13 @@ def solve(
 
     Returns a :class:`SolveResult`; the factorized operator inside it acts
     in the caller's ordering too and can be reused for more solves without
-    re-assembly.
+    re-assembly.  A non-finite ``b`` raises ``ValueError`` before the build.
     """
     if compute_residual not in (True, False, "exact"):
         raise ValueError(
             f"compute_residual must be True, False, or 'exact', got {compute_residual!r}"
         )
+    _require_finite("right-hand side b", b)
     assembled, operator, config = _cached_build(
         problem, config, problem_params, tuning, cache
     )

@@ -14,8 +14,8 @@ This module implements three interchangeable compressors plus a config
 object and a dispatcher:
 
 * :func:`svd_compress`         — exact truncated SVD (reference / testing);
-* :func:`rook_pivot_compress`  — adaptive cross approximation with rook
-  pivot searches, requiring only entry evaluation;
+* :func:`rook_pivot_compress_blocks` — adaptive cross approximation with
+  rook pivot searches on a bucket of blocks, requiring only entry evaluation;
 * :func:`randomized_compress`  — randomized range finder + small SVD,
   requiring only matvec access to the block.
 """
@@ -39,6 +39,9 @@ from .low_rank import LowRankFactor, _truncation_count
 
 #: Evaluates a sub-block of the operator: ``entries(rows, cols) -> ndarray``.
 BlockEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: Evaluates a stack of equal-shape sub-blocks: ``gather(rows (B, m), cols
+#: (B, n)) -> (B, m, n)``, e.g. ``KernelMatrix.entries_blocks``.
+BlockGather = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -66,9 +69,9 @@ class CompressionConfig:
         shape-bucketed batched kernels.  ``"loop"`` reproduces the
         node-major per-block construction (one compression per block, one
         ``entries`` call per block) — the baseline the benchmarks measure
-        against.  ``method="rook"`` always compresses per block (the rook
-        search is inherently entrywise-adaptive), but still benefits from
-        the level-major entry gathering of the diagonal blocks.
+        against.  ``method="rook"`` never materialises a block: the batched
+        schedule runs one lockstep :func:`rook_pivot_compress_blocks` per
+        shape bucket.
     """
 
     tol: float = 1e-12
@@ -95,6 +98,178 @@ def svd_compress(
 # ----------------------------------------------------------------------
 # Rook-pivoted cross approximation (HODLRlib's rookPiv analogue)
 # ----------------------------------------------------------------------
+def lift_gather(entries: BlockEvaluator) -> BlockGather:
+    """A stack gather from a single-block evaluator: one call per block."""
+
+    def gather(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if len(rows) == 1:
+            return np.asarray(entries(rows[0], cols[0]))[None]
+        return np.stack([np.asarray(entries(r, c)) for r, c in zip(rows, cols)])
+
+    return gather
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed exactly as ``np.linalg.norm`` sums a vector."""
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    return np.sqrt(sum(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0] for p in parts))
+
+
+def rook_pivot_compress_blocks(
+    gather: BlockGather,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    tol: float = 1e-12,
+    max_rank: Optional[int] = None,
+    max_rook_steps: int = 3,
+    dtype=np.float64,
+    context: Optional[ExecutionContext] = None,
+) -> List[LowRankFactor]:
+    """Adaptive cross approximation with rook pivoting, blocks in lockstep.
+
+    Block ``b`` is ``entries(rows[b], cols[b])``; ``gather(R, C)`` evaluates
+    the stack of ``(R[t], C[t])`` sub-blocks.  Each block grows as ``sum_k
+    u_k v_k*``: a rook search (alternate row/column argmax of the lazily
+    evaluated residual) picks each pivot, and a block stops when its cross
+    norm drops below ``tol`` times the running ACA estimate of its norm, so
+    only ``O((m + n) r)`` entries of a block are evaluated.  Active blocks
+    advance together — one row and one column gather per step, plus
+    refinement gathers for blocks whose pivot moved — with batched residual
+    matmuls over ``(B, m, cap)`` / ``(B, n, cap)`` storage.  Pivots,
+    stopping and the zero-pivot retry (a random unused row from the block's
+    own ``default_rng(12345)``) are per block, and every product is the
+    one-block gemv or dot, so a block's factor does not depend on its bucket
+    down to the last bit.  One :func:`recompress_stack` pass tightens the
+    ranks.  Raises :class:`ValueError` when a block's crosses are not finite.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    (nblocks, m), n = rows.shape, cols.shape[1]
+    rank_cap = min(m, n) if max_rank is None else min(max_rank, m, n)
+    if rank_cap == 0 or nblocks == 0:
+        return [LowRankFactor.zeros(m, n, dtype) for _ in range(nblocks)]
+    raw: List[Optional[LowRankFactor]] = [None] * nblocks
+    rngs: dict = {}
+    capacity = min(rank_cap, 8)
+    # the active blocks' state; W holds conj(V) (the residual rows) and
+    # norm2 the running estimate of ||B||_F^2 built from the crosses
+    act = {
+        "ids": np.arange(nblocks), "rows": rows, "cols": cols,
+        "U": np.empty((nblocks, m, capacity), dtype=dtype),
+        "W": np.empty((nblocks, n, capacity), dtype=dtype),
+        "used": np.zeros((nblocks, m), dtype=bool),
+        "next": np.zeros(nblocks, dtype=np.intp), "norm2": np.zeros(nblocks),
+    }
+
+    def residual(sel, piv, of_row):
+        """Residual rows (``of_row``) or columns ``piv`` of active blocks ``sel``.
+
+        All active blocks take one batched matmul on views of the storage; a
+        subset loops per block, as indexing the storage would copy it.
+        """
+        r, c, t = act["rows"][sel], act["cols"][sel], np.arange(sel.size)
+        if of_row:
+            fresh, basis, coef = gather(r[t, piv][:, None], c), act["W"], act["U"][sel, piv, :k]
+        else:
+            fresh, basis, coef = gather(r, c[t, piv][:, None]), act["U"], act["W"][sel, piv, :k]
+        res = np.asarray(fresh, dtype=dtype).reshape(sel.size, -1)
+        if k and sel.size == every.size:
+            res -= np.matmul(basis[:, :, :k], coef[:, :, None])[:, :, 0]
+        elif k:
+            for t, b in enumerate(sel):
+                res[t] -= basis[b, :, :k] @ coef[t]
+        return res
+
+    def retire(done, rank):
+        """Move the ``done`` blocks' rank-``rank`` factors out of the active set."""
+        nonlocal act
+        for t in np.flatnonzero(done):
+            U, W = act["U"][t, :, :rank], act["W"][t, :, :rank]
+            raw[act["ids"][t]] = LowRankFactor(np.array(U), np.conjugate(W))
+        act = {key: v[~done] for key, v in act.items()}
+
+    for k in range(rank_cap):
+        every = np.arange(act["ids"].size)
+        # --- rook pivot search, starting from the next unused row ----------
+        i, used = act["next"].copy(), act["used"]
+        if used[every, i].any():
+            taken = np.flatnonzero(used[every, i])
+            order = (i[taken, None] + np.arange(m)) % m
+            i[taken] = order[np.arange(taken.size), np.argmax(~used[taken[:, None], order], 1)]
+        row = residual(every, i, True)
+        j = np.abs(row).argmax(axis=1)
+        col = residual(every, j, False)
+        moving = every
+        for _ in range(max_rook_steps):
+            i_new = np.abs(col[moving]).argmax(axis=1)
+            moving, i_new = moving[i_new != i[moving]], i_new[i_new != i[moving]]
+            if not moving.size:
+                break
+            i[moving] = i_new
+            row[moving] = residual(moving, i_new, True)
+            j_new = np.abs(row[moving]).argmax(axis=1)
+            moving, j_new = moving[j_new != j[moving]], j_new[j_new != j[moving]]
+            if not moving.size:
+                break
+            j[moving] = j_new
+            col[moving] = residual(moving, j_new, False)
+
+        pivot = row[every, j]
+        for t in np.flatnonzero(pivot == 0) if not pivot.all() else ():
+            # residual row is identically zero; try a random unused row before
+            # concluding the block is (numerically) exhausted.
+            free = np.flatnonzero(~used[t])
+            if free.size:
+                rng = rngs.setdefault(act["ids"][t], np.random.default_rng(12345))
+                i[t] = rng.choice(free)
+                row[t] = residual(every[t : t + 1], i[t : t + 1], True)[0]
+                j[t] = np.argmax(np.abs(row[t]))
+                pivot[t] = row[t, j[t]]
+            if pivot[t] != 0:
+                col[t] = residual(every[t : t + 1], j[t : t + 1], False)[0]
+        if not pivot.all():
+            live = pivot != 0
+            retire(~live, k)
+            i, j, row, col, pivot = i[live], j[live], row[live], col[live], pivot[live]
+            every = np.arange(live.sum())
+            if not every.size:
+                break
+
+        # --- add the cross -------------------------------------------------
+        u = col / pivot[:, None]
+        cross_norm2 = _row_norms(u) ** 2 * _row_norms(row) ** 2
+        # ||B_k||^2 ~= ||B_{k-1}||^2 + 2 Re <prev, new> + ||new||^2, with the
+        # inner products against all previous crosses as two batched GEMVs
+        cross_terms = 0.0
+        if k:
+            cu = np.matmul(act["U"][:, :, :k].conj().transpose(0, 2, 1), u[:, :, None])[:, :, 0]
+            cv = np.matmul(act["W"][:, :, :k].transpose(0, 2, 1), row.conj()[:, :, None])[:, :, 0]
+            cross_terms = 2.0 * np.abs(cu * cv).sum(axis=1)
+        if k == capacity:
+            capacity = min(rank_cap, 2 * capacity)
+            for key, size in (("U", m), ("W", n)):
+                fresh = np.empty((every.size, size, capacity - k), dtype=dtype)
+                act[key] = np.concatenate([act[key][:, :, :k], fresh], axis=2)
+        act["U"][:, :, k], act["W"][:, :, k] = u, row
+        act["used"][every, i] = True
+        act["next"] = (i + 1) % m
+        act["norm2"] += cross_norm2 + cross_terms
+        norm2 = act["norm2"]
+        # a non-finite cross stops its block; the check below reports it
+        done = (norm2 > 0) & (cross_norm2 <= tol**2 * norm2) | ~np.isfinite(cross_norm2)
+        if k + 1 == rank_cap or done.all():
+            retire(np.ones(every.size, dtype=bool), k + 1)
+            break
+        if done.any():
+            retire(done, k + 1)
+
+    for b, f in enumerate(raw):
+        if not (np.isfinite(f.U).all() and np.isfinite(f.V).all()):
+            raise ValueError(
+                f"non-finite entries in the block at rows {rows[b].min()}:{rows[b].max() + 1}"
+            )
+    return recompress_stack(raw, tol=tol, max_rank=max_rank, context=context)
+
+
 def rook_pivot_compress(
     entries: BlockEvaluator,
     m: int,
@@ -103,159 +278,20 @@ def rook_pivot_compress(
     max_rank: Optional[int] = None,
     max_rook_steps: int = 3,
     dtype=np.float64,
-    first_row: Optional[np.ndarray] = None,
 ) -> LowRankFactor:
-    """Adaptive cross approximation with rook pivoting.
-
-    Builds ``B ~= sum_k u_k v_k*`` one cross at a time.  Each step picks a
-    pivot by a rook search (alternate row/column argmax of the current
-    residual, evaluated lazily), subtracts the cross, and stops when the
-    estimated residual norm drops below ``tol`` times the estimated block
-    norm.  Only ``O((m + n) r)`` entries of the block are ever evaluated,
-    which is what makes HODLR construction from kernel functions cheap.
-
-    Parameters
-    ----------
-    entries:
-        Callable evaluating ``block[np.ix_(rows, cols)]``.
-    m, n:
-        Block dimensions.
-    tol:
-        Relative Frobenius-norm tolerance.
-    max_rank:
-        Upper bound on the constructed rank (defaults to ``min(m, n)``).
-    max_rook_steps:
-        Number of alternating row/column refinements of each pivot.
-    first_row:
-        Precomputed row 0 of the block (length ``n``).  The level-major
-        builder gathers the initial pivot rows of *all* blocks of a tree
-        level in one ``entries_blocks`` evaluation and hands them in here,
-        so the search's first row costs no per-row entrywise call.
-    """
-    if m == 0 or n == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-    rank_cap = min(m, n) if max_rank is None else min(max_rank, m, n)
-    if rank_cap == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-
-    # the crosses accumulate into growing 2-D factor arrays (capacity doubled
-    # geometrically) so each residual evaluation is a single GEMV against the
-    # accumulated bases instead of k separate rank-1 updates
-    capacity = min(rank_cap, 8)
-    U_arr = np.empty((m, capacity), dtype=dtype)
-    V_arr = np.empty((n, capacity), dtype=dtype)
-    k = 0
-    used_rows: set = set()
-    used_cols: set = set()
-    # running estimate of ||B||_F^2 built from the crosses (standard ACA estimate)
-    approx_norm2 = 0.0
-    rng = np.random.default_rng(12345)
-
-    def residual_row(i: int) -> np.ndarray:
-        if i == 0 and k == 0 and first_row is not None:
-            # the gathered level evaluation already produced this row
-            return np.asarray(first_row, dtype=dtype).reshape(n)
-        row = np.asarray(entries(np.array([i]), np.arange(n)), dtype=dtype).reshape(n)
-        if k:
-            row = row - V_arr[:, :k].conj() @ U_arr[i, :k]
-        return row
-
-    def residual_col(j: int) -> np.ndarray:
-        col = np.asarray(entries(np.arange(m), np.array([j])), dtype=dtype).reshape(m)
-        if k:
-            col = col - U_arr[:, :k] @ V_arr[j, :k].conj()
-        return col
-
-    next_row = 0
-    for _ in range(rank_cap):
-        # --- rook pivot search -------------------------------------------------
-        i = next_row
-        # make sure we start from an unused row
-        tries = 0
-        while i in used_rows and tries < m:
-            i = (i + 1) % m
-            tries += 1
-        row = residual_row(i)
-        j = int(np.argmax(np.abs(row)))
-        col = residual_col(j)
-        for _ in range(max_rook_steps):
-            i_new = int(np.argmax(np.abs(col)))
-            if i_new == i:
-                break
-            i = i_new
-            row = residual_row(i)
-            j_new = int(np.argmax(np.abs(row)))
-            if j_new == j:
-                break
-            j = j_new
-            col = residual_col(j)
-
-        pivot = row[j]
-        if pivot == 0:
-            # residual row is identically zero; try a random unused row before
-            # concluding the block is (numerically) exhausted.
-            candidates = [r for r in range(m) if r not in used_rows]
-            if not candidates:
-                break
-            i = int(rng.choice(candidates))
-            row = residual_row(i)
-            j = int(np.argmax(np.abs(row)))
-            pivot = row[j]
-            if pivot == 0:
-                break
-            col = residual_col(j)
-
-        u = (col / pivot).astype(dtype, copy=False)
-        v = row.conj().astype(dtype, copy=False)
-
-        # --- stopping criterion ------------------------------------------------
-        cross_norm2 = float(np.linalg.norm(u) ** 2 * np.linalg.norm(v) ** 2)
-        # ||B_k||^2 ~= ||B_{k-1}||^2 + 2 Re <prev, new> + ||new||^2 ; we use the
-        # standard cheap update that ignores cross terms beyond the latest pair,
-        # with the inner products against all previous crosses as two GEMVs.
-        cross_terms = 0.0
-        if k:
-            cu = U_arr[:, :k].conj().T @ u
-            cv = V_arr[:, :k].conj().T @ v
-            cross_terms = 2.0 * float(np.sum(np.abs(cu * cv)))
-
-        if k == capacity:
-            capacity = min(rank_cap, max(2 * capacity, 8))
-            grown_u = np.empty((m, capacity), dtype=dtype)
-            grown_v = np.empty((n, capacity), dtype=dtype)
-            grown_u[:, :k] = U_arr[:, :k]
-            grown_v[:, :k] = V_arr[:, :k]
-            U_arr, V_arr = grown_u, grown_v
-        U_arr[:, k] = u
-        V_arr[:, k] = v
-        k += 1
-        used_rows.add(i)
-        used_cols.add(j)
-        next_row = (i + 1) % m
-
-        approx_norm2 += cross_norm2 + cross_terms
-        if approx_norm2 > 0 and cross_norm2 <= (tol ** 2) * approx_norm2:
-            break
-
-    if k == 0:
-        return LowRankFactor.zeros(m, n, dtype)
-    factor = LowRankFactor(U=U_arr[:, :k], V=V_arr[:, :k])
-    # A final recompression both tightens the rank and orthogonalises the bases.
-    return factor.recompress(tol=tol, max_rank=max_rank)
+    """Rook-pivoted ACA of the ``m x n`` block ``entries(rows, cols)``: the
+    one-block case of :func:`rook_pivot_compress_blocks`."""
+    return rook_pivot_compress_blocks(
+        lift_gather(entries), np.arange(m)[None], np.arange(n)[None], tol=tol,
+        max_rank=max_rank, max_rook_steps=max_rook_steps, dtype=dtype,
+    )[0]
 
 
 def rook_pivot_compress_dense(
     block: np.ndarray, tol: float = 1e-12, max_rank: Optional[int] = None
 ) -> LowRankFactor:
     """Rook-pivoted compression of an explicitly stored block."""
-    block = np.asarray(block)
-
-    def entries(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return block[np.ix_(rows, cols)]
-
-    return rook_pivot_compress(
-        entries, block.shape[0], block.shape[1], tol=tol, max_rank=max_rank, dtype=block.dtype
-    )
+    return compress_block_stack(np.asarray(block)[None], CompressionConfig(tol=tol, max_rank=max_rank))[0]
 
 
 # ----------------------------------------------------------------------
@@ -456,11 +492,14 @@ def compress_block_stack(
 
     The zero-copy entry point of the level-major builder: a gathered level
     stack goes straight into the batched kernels without per-block
-    unpacking.  ``rook`` (no batched analogue — its pivot search is
-    entrywise-adaptive) and ``policy.bucketing=False``
-    (:data:`~repro.backends.dispatch.LOOP_POLICY`) compress the slices one
-    at a time.  ``context`` supersedes the legacy ``backend=``/``policy=``
-    pair; a device-resident context keeps the stack and factors there.
+    unpacking.  ``rook`` runs the lockstep
+    :func:`rook_pivot_compress_blocks` over the stack (the level-major
+    builder calls it on kernel gathers instead, never materialising the
+    blocks).  With ``policy.bucketing=False``
+    (:data:`~repro.backends.dispatch.LOOP_POLICY`) ``svd`` and
+    ``randomized`` compress the slices one at a time.  ``context``
+    supersedes the legacy ``backend=``/``policy=`` pair; a device-resident
+    context keeps the stack and factors there.
     """
     ctx = resolve_context(context, backend, policy)
     pol, xb = ctx.policy, ctx.backend
@@ -468,10 +507,15 @@ def compress_block_stack(
     if stack.ndim != 3:
         raise ValueError("compress_block_stack expects a (batch, m, n) stack")
     if config.method == "rook":
-        return [
-            rook_pivot_compress_dense(stack[i], tol=config.tol, max_rank=config.max_rank)
-            for i in range(stack.shape[0])
-        ]
+        # block b of the stack is rows b*m .. b*m + m - 1 of the flattened stack
+        nblocks, m, n = stack.shape
+        flat = xb.to_host(stack).reshape(nblocks * m, n)
+        return rook_pivot_compress_blocks(
+            lambda r, c: flat[r[:, :, None], c[:, None, :]],
+            np.arange(nblocks * m).reshape(nblocks, m),
+            np.broadcast_to(np.arange(n), (nblocks, n)),
+            tol=config.tol, max_rank=config.max_rank, dtype=stack.dtype, context=ctx,
+        )
     if config.method == "randomized":
         rng = rng if rng is not None else config.generator()
         if not pol.bucketing:
@@ -494,6 +538,31 @@ def compress_block_stack(
     raise ValueError(f"unknown compression method {config.method!r}")
 
 
+def compress_blocks_batched(
+    blocks: Sequence[np.ndarray],
+    config: CompressionConfig,
+    backend: Optional[ArrayBackend] = None,
+    policy: Optional[DispatchPolicy] = None,
+    context: Optional[ExecutionContext] = None,
+) -> List[LowRankFactor]:
+    """Compress a list of dense blocks per ``config``, batched per shape bucket.
+
+    Blocks sharing a shape are packed into one strided stack and compressed
+    by :func:`compress_block_stack` (ranks may differ per block); the
+    randomized path draws every bucket's test matrices from one generator.
+    ``policy.bucketing=False`` (:data:`~repro.backends.dispatch.LOOP_POLICY`)
+    reproduces the per-block loop for ``svd`` and ``randomized``.
+    """
+    ctx = resolve_context(context, backend, policy)
+    rng = config.generator()
+    results: List[Optional[LowRankFactor]] = [None] * len(blocks)
+    for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
+        stack = ctx.backend.stack([np.asarray(blocks[i]) for i in bucket.indices])
+        for i, f in zip(bucket.indices, compress_block_stack(stack, config, rng=rng, context=ctx)):
+            results[i] = f
+    return results  # type: ignore[return-value]
+
+
 def svd_compress_batched(
     blocks: Sequence[np.ndarray],
     tol: float = 1e-12,
@@ -502,26 +571,9 @@ def svd_compress_batched(
     policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
-    """Truncated-SVD compression of many dense blocks, batched per shape bucket.
-
-    Blocks sharing a shape are packed into strided 3-D storage and factored
-    with one batched SVD launch; truncation is applied per block afterwards
-    (ranks may differ).  ``policy.bucketing=False`` (:data:`~repro.backends.
-    dispatch.LOOP_POLICY`) reproduces the per-block loop.
-    """
-    ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
-    if not blocks:
-        return []
-    if not pol.bucketing:
-        return [svd_compress(np.asarray(b), tol=tol, max_rank=max_rank) for b in blocks]
-    results: List[Optional[LowRankFactor]] = [None] * len(blocks)
-    for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
-        idx = bucket.indices
-        stack = xb.stack([np.asarray(blocks[i]) for i in idx])
-        for i, f in zip(idx, _svd_stack(stack, tol, max_rank, xb)):
-            results[i] = f
-    return results  # type: ignore[return-value]
+    """Truncated-SVD compression of many dense blocks, one batched SVD per shape."""
+    config = CompressionConfig(tol=tol, max_rank=max_rank, method="svd")
+    return compress_blocks_batched(blocks, config, backend, policy, context)
 
 
 def randomized_compress_batched(
@@ -534,69 +586,11 @@ def randomized_compress_batched(
     policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
-    """Randomized compression of many dense blocks with shared test matrices.
-
-    Blocks are grouped into shape buckets and each bucket runs through
-    :func:`compress_block_stack`'s randomized path: one shared Gaussian test
-    matrix, strided batched sampling/QR/SVD, doubled-sample rounds for
-    adaptive-rank stragglers, per-block fallback for a lone one.
-    ``policy.bucketing=False`` reproduces the per-block adaptive loop.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
-    if not blocks:
-        return []
-    if not pol.bucketing:
-        return [
-            randomized_compress_dense(np.asarray(b), tol=tol, max_rank=max_rank, rng=rng)
-            for b in blocks
-        ]
-    results: List[Optional[LowRankFactor]] = [None] * len(blocks)
-    for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
-        idx = bucket.indices
-        stack = xb.stack([np.asarray(blocks[i]) for i in idx])
-        factors = _randomized_stack(stack, tol, max_rank, oversampling, rng, xb)
-        for i, f in zip(idx, factors):
-            results[i] = f
-    return results  # type: ignore[return-value]
-
-
-def compress_blocks_batched(
-    blocks: Sequence[np.ndarray],
-    config: CompressionConfig,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[ExecutionContext] = None,
-) -> List[LowRankFactor]:
-    """Compress a list of dense blocks per ``config``, batching where possible.
-
-    ``svd`` and ``randomized`` execute through the shape-bucketed batched
-    kernels above; ``rook`` has no batched analogue (its pivot search is
-    entrywise-adaptive) and compresses per block.
-    """
-    if config.method == "svd":
-        return svd_compress_batched(
-            blocks, tol=config.tol, max_rank=config.max_rank,
-            backend=backend, policy=policy, context=context,
-        )
-    if config.method == "randomized":
-        return randomized_compress_batched(
-            blocks,
-            tol=config.tol,
-            max_rank=config.max_rank,
-            oversampling=config.oversampling,
-            rng=config.generator(),
-            backend=backend,
-            policy=policy,
-            context=context,
-        )
-    if config.method == "rook":
-        return [
-            rook_pivot_compress_dense(np.asarray(b), tol=config.tol, max_rank=config.max_rank)
-            for b in blocks
-        ]
-    raise ValueError(f"unknown compression method {config.method!r}")
+    """Randomized compression of many dense blocks with shared test matrices."""
+    config = CompressionConfig(
+        tol=tol, max_rank=max_rank, method="randomized", oversampling=oversampling, rng=rng
+    )
+    return compress_blocks_batched(blocks, config, backend, policy, context)
 
 
 def recompress_stack(
@@ -738,42 +732,20 @@ def compress_block(
     n: int,
     config: CompressionConfig,
     dtype=np.float64,
-    first_row: Optional[np.ndarray] = None,
 ) -> LowRankFactor:
-    """Compress the block defined by ``entries`` according to ``config``.
-
-    ``first_row`` (rook only) is a precomputed row 0 of the block — the
-    level-major builder supplies it from its gathered level evaluation.
-    """
+    """Compress the block defined by ``entries`` according to ``config``."""
     if config.method == "svd":
         block = np.asarray(entries(np.arange(m), np.arange(n)), dtype=dtype)
         return svd_compress(block, tol=config.tol, max_rank=config.max_rank)
     if config.method == "rook":
         return rook_pivot_compress(
-            entries, m, n, tol=config.tol, max_rank=config.max_rank, dtype=dtype,
-            first_row=first_row,
+            entries, m, n, tol=config.tol, max_rank=config.max_rank, dtype=dtype
         )
     if config.method == "randomized":
-        # randomized needs matvecs; realise them through entry evaluation on
-        # full index ranges (columns are gathered lazily in blocks).
-        rows = np.arange(m)
-        cols = np.arange(n)
-
-        def matvec(X: np.ndarray) -> np.ndarray:
-            return np.asarray(entries(rows, cols), dtype=dtype) @ X
-
-        def rmatvec(X: np.ndarray) -> np.ndarray:
-            return np.asarray(entries(rows, cols), dtype=dtype).conj().T @ X
-
+        block = np.asarray(entries(np.arange(m), np.arange(n)), dtype=dtype)
         return randomized_compress(
-            matvec,
-            rmatvec,
-            m,
-            n,
-            tol=config.tol,
-            max_rank=config.max_rank,
-            oversampling=config.oversampling,
-            rng=config.generator(),
-            dtype=dtype,
+            lambda X: block @ X, lambda X: block.conj().T @ X, m, n, tol=config.tol,
+            max_rank=config.max_rank, oversampling=config.oversampling,
+            rng=config.generator(), dtype=dtype,
         )
     raise ValueError(f"unknown compression method {config.method!r}")

@@ -21,9 +21,10 @@ Construction paths
 * :func:`build_hodlr` — compress anything that can evaluate sub-blocks
   ``entries(rows, cols)`` (kernel matrices, BIE operators) without ever
   forming the full matrix.  The default ``construction="batched"`` runs
-  *level-major*: every off-diagonal block of a tree level is gathered with
-  one multi-block ``entries_blocks`` evaluation (when the source supports
-  it) and compressed through the shape-bucketed batched kernels;
+  *level-major*: ``svd``/``randomized`` gather each shape bucket of a
+  tree level with one multi-block ``entries_blocks`` evaluation (when the
+  source supports it) and compress it through the batched kernels;
+  ``rook`` runs one lockstep cross approximation per bucket.
   ``construction="loop"`` is the node-major per-block baseline.
 
 Application paths
@@ -51,6 +52,8 @@ from .compression import (
     CompressionConfig,
     compress_block,
     compress_block_stack,
+    lift_gather,
+    rook_pivot_compress_blocks,
 )
 
 @dataclass
@@ -367,37 +370,37 @@ def _coerce_stack(stack, dtype, xb):
     return stack
 
 
-def _gather_chunks(evaluator, multi, row_sets, col_sets, dtype, xb):
-    """Yield ``(indices, stack)`` chunks of equal-shape blocks.
-
-    Blocks sharing a shape are grouped into buckets and evaluated directly
-    into strided 3-D stacks — one vectorized ``multi`` call per chunk when a
-    gather evaluator is available (the ``points[rows]`` indexing and the
-    kernel function run once per chunk, not per block), a per-block
-    ``evaluator`` fallback otherwise.  Buckets larger than the gather cap
-    are split so peak memory stays bounded; each yielded stack is the only
-    materialisation of its blocks (consumers compress it in place and drop
-    it before the next chunk is evaluated).  Stacks are coerced through the
-    context's backend, so a device-resident evaluator yields device stacks.
-    """
+def _bucket_chunks(row_sets, col_sets, elements):
+    """Equal-shape index chunks holding at most the gather cap of ``elements(m, n)``."""
     nblocks = len(row_sets)
     plan = plan_batch([(row_sets[i].size, col_sets[i].size) for i in range(nblocks)])
     for bucket in plan.buckets:
-        m, n = bucket.key
-        per_chunk = max(1, _MAX_GATHER_ELEMENTS // max(1, m * n))
+        per_chunk = max(1, _MAX_GATHER_ELEMENTS // max(1, elements(*bucket.key)))
         idx = bucket.indices
         for start in range(0, len(idx), per_chunk):
-            chunk = idx[start : start + per_chunk]
-            if multi is not None:
-                rows2 = np.stack([row_sets[i] for i in chunk])
-                cols2 = np.stack([col_sets[i] for i in chunk])
-                stack = _coerce_stack(multi(rows2, cols2), dtype, xb)
-            else:
-                stack = xb.stack(
-                    [_coerce_stack(evaluator(row_sets[i], col_sets[i]), dtype, xb)
-                     for i in chunk]
-                )
-            yield chunk, stack
+            yield idx[start : start + per_chunk]
+
+
+def _gather_chunks(evaluator, multi, row_sets, col_sets, dtype, xb):
+    """Yield ``(indices, stack)`` chunks of equal-shape blocks.
+
+    Each chunk of a shape bucket is evaluated directly into a strided 3-D
+    stack — one vectorized ``multi`` call when a gather evaluator is
+    available, a per-block ``evaluator`` fallback otherwise.  Each yielded
+    stack is the only materialisation of its blocks; stacks are coerced
+    through the context's backend, so a device evaluator yields device stacks.
+    """
+    for chunk in _bucket_chunks(row_sets, col_sets, lambda m, n: m * n):
+        if multi is not None:
+            rows2 = np.stack([row_sets[i] for i in chunk])
+            cols2 = np.stack([col_sets[i] for i in chunk])
+            stack = _coerce_stack(multi(rows2, cols2), dtype, xb)
+        else:
+            stack = xb.stack(
+                [_coerce_stack(evaluator(row_sets[i], col_sets[i]), dtype, xb)
+                 for i in chunk]
+            )
+        yield chunk, stack
 
 
 def build_hodlr(
@@ -545,12 +548,13 @@ def _build_hodlr_batched(
 ) -> HODLRMatrix:
     """Level-major batched construction.
 
-    Per tree level: one gathered evaluation of all sibling off-diagonal
-    blocks (bucketed by shape) followed by one batched compression per shape
-    bucket, all through the context's backend.  ``method="rook"`` keeps its
-    entrywise-lazy per-block compression — materialising the blocks would
-    defeat the ``O((m + n) r)``-entries property — but the diagonal blocks
-    still benefit from the gathered evaluation.
+    Per tree level, each shape bucket of sibling off-diagonal blocks is
+    compressed together.  ``method="rook"`` runs one lockstep cross
+    approximation per bucket (:func:`~repro.core.compression.
+    rook_pivot_compress_blocks`), one ``entries_blocks`` row or column
+    gather per step; the other methods gather each bucket as one strided
+    stack and compress it in place.  A non-finite diagonal block or factor
+    raises :class:`ValueError` naming its level and rows.
     """
     diag: Dict[int, np.ndarray] = {}
     U: Dict[int, np.ndarray] = {}
@@ -561,10 +565,17 @@ def _build_hodlr_batched(
     leaves = tree.leaves
     leaf_rows = [leaf.indices for leaf in leaves]
     for chunk, stack in _gather_chunks(evaluator, multi, leaf_rows, leaf_rows, dtype, xb):
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not bool(finite.all()):
+            leaf = leaves[chunk[int(np.argmin(finite))]]
+            raise ValueError(
+                f"non-finite entries in the leaf diagonal block at level "
+                f"{tree.levels}, rows {leaf.start}:{leaf.stop}"
+            )
         for j, i in enumerate(chunk):
             diag[leaves[i].index] = stack[j]
 
-    lazy = config.method == "rook"
+    gather = multi if multi is not None else lift_gather(evaluator)
     for level in range(1, tree.levels + 1):
         row_nodes: List[TreeNode] = []
         col_nodes: List[TreeNode] = []
@@ -572,36 +583,28 @@ def _build_hodlr_batched(
             # A(I_left, I_right) = U_left V_right^* and its mirror image
             row_nodes += [left, right]
             col_nodes += [right, left]
+        row_sets = [nd.indices for nd in row_nodes]
+        col_sets = [nd.indices for nd in col_nodes]
 
         factors: List = [None] * len(row_nodes)
-        if lazy:
-            # the rook search is entrywise-adaptive, but its *initial* pivot
-            # rows are known up front: gather row 0 of every block of the
-            # level in one bucketed entries_blocks evaluation (one call per
-            # col-size bucket instead of one entrywise call per block)
-            first_rows: List = [None] * len(row_nodes)
-            if multi is not None and row_nodes:
-                r0_sets = [np.asarray(rn.indices[:1]) for rn in row_nodes]
-                c_sets = [cn.indices for cn in col_nodes]
-                for chunk, stack in _gather_chunks(
-                    evaluator, multi, r0_sets, c_sets, dtype, xb
-                ):
-                    for j, i in enumerate(chunk):
-                        first_rows[i] = np.asarray(stack[j, 0])
-            for i, (rn, cn) in enumerate(zip(row_nodes, col_nodes)):
-
-                def block_eval(r, c, _rr=rn.indices, _cc=cn.indices):
-                    return evaluator(_rr[r], _cc[c])
-
-                factors[i] = compress_block(
-                    block_eval, rn.size, cn.size, config, dtype=dtype,
-                    first_row=first_rows[i],
-                )
+        if config.method == "rook":
+            cap = config.max_rank
+            # lockstep per shape bucket, chunked to bound its (m + n) x rank
+            # storage; a bare evaluator runs one block per call
+            chunks = _bucket_chunks(row_sets, col_sets, lambda m, n: (m + n) * min(m, n, cap or m))
+            for chunk in chunks if multi is not None else [[i] for i in range(len(row_sets))]:
+                try:
+                    compressed = rook_pivot_compress_blocks(
+                        gather,
+                        np.stack([row_sets[i] for i in chunk]),
+                        np.stack([col_sets[i] for i in chunk]),
+                        tol=config.tol, max_rank=cap, dtype=dtype, context=context,
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"level {level}: {exc}") from exc
+                for i, f in zip(chunk, compressed):
+                    factors[i] = f
         else:
-            # each shape-bucket chunk is materialised once as a strided stack
-            # and compressed in place — no per-block intermediate copies
-            row_sets = [nd.indices for nd in row_nodes]
-            col_sets = [nd.indices for nd in col_nodes]
             rng = config.generator()
             for chunk, stack in _gather_chunks(
                 evaluator, multi, row_sets, col_sets, dtype, xb

@@ -143,10 +143,12 @@ class KernelMatrix:
                 f"kernel {self.kernel!r} does not broadcast over point blocks: "
                 f"expected {expected}, got {blocks.shape}"
             )
-        if self.diagonal_shift:
+        if self.diagonal_shift and rows.shape[1] and cols.shape[1]:
+            # one stack-wide disjointness test; only overlapping blocks search
+            overlap = ~((rows.max(1) < cols.min(1)) | (cols.max(1) < rows.min(1)))
             hits = [
                 (b, self._shift_positions(rows[b], cols[b]))
-                for b in range(rows.shape[0])
+                for b in np.flatnonzero(overlap)
             ]
             hits = [(b, p) for b, p in hits if p is not None]
             if hits:

@@ -355,54 +355,6 @@ class TestPaddedLU:
 
 
 # ======================================================================
-# rook compressor: gathered initial pivot rows
-# ======================================================================
-class TestRookFirstRow:
-    def test_first_row_skips_initial_entry_call(self, rng):
-        from repro import rook_pivot_compress
-
-        u = rng.standard_normal((40, 5))
-        v = rng.standard_normal((30, 5))
-        block = u @ v.T
-        calls = []
-
-        def entries(r, c):
-            calls.append((np.size(r), np.size(c)))
-            return block[np.ix_(np.atleast_1d(r), np.atleast_1d(c))]
-
-        f_ref = rook_pivot_compress(entries, 40, 30, tol=1e-10)
-        ref_calls = list(calls)
-        calls.clear()
-        f = rook_pivot_compress(entries, 40, 30, tol=1e-10, first_row=block[0])
-        # the precomputed row replaces exactly the initial full-row call
-        assert len(calls) == len(ref_calls) - 1
-        np.testing.assert_allclose(
-            f.U @ f.V.conj().T, f_ref.U @ f_ref.V.conj().T, rtol=1e-12, atol=1e-12
-        )
-
-    def test_gathered_rows_leave_rook_construction_unchanged(self, rng):
-        """The level-gathered first rows change call counts, not results."""
-        import repro.core.hodlr as hodlr_mod
-
-        n = 256
-        A = hodlr_friendly_matrix(n, seed=4)
-        tree = ClusterTree.balanced(n, leaf_size=32)
-        H_with = build_hodlr(A, tree, tol=1e-10, method="rook")
-        orig_cb = hodlr_mod.compress_block
-        try:
-            hodlr_mod.compress_block = (
-                lambda *a, first_row=None, **k: orig_cb(*a, **k)
-            )
-            H_without = build_hodlr(A, tree, tol=1e-10, method="rook")
-        finally:
-            hodlr_mod.compress_block = orig_cb
-        x = rng.standard_normal(n)
-        np.testing.assert_allclose(
-            H_with.matvec(x), H_without.matvec(x), rtol=1e-12, atol=1e-12
-        )
-
-
-# ======================================================================
 # precedence regression: explicit dispatch_policy + SolverConfig.precision
 # ======================================================================
 class TestPrecedenceRegression:
