@@ -6,8 +6,7 @@ SolvePlan** rows (repeated direct solves and the GMRES-preconditioner
 apply loop through the packed :class:`~repro.core.factor_plan.FactorPlan`
 against the per-node recursion of the ``hodlrlib_cpu`` baseline), the
 float32 *factor*-storage rows, the plan-vs-recursive-oracle equivalence
-check, the PR-6 **tuned-vs-default**
-row — and, new in PR 8, the cross-solve reuse rows: the **fused multi-RHS
+check — and, new in PR 8, the cross-solve reuse rows: the **fused multi-RHS
 solve** (one compiled-plan replay for a whole ``(n, K)`` block vs K
 sequential plan solves through the same factorization) and the
 **parameter sweep** (``repro.run_sweep`` recycling the cluster tree,
@@ -42,10 +41,9 @@ Usage::
     python benchmarks/record_bench.py --smoke         # CI perf-gate sizes
     python benchmarks/record_bench.py --output out.json
 
-The full run reproduces the acceptance numbers: the
-auto-tuned solve identical to the default-policy solve to 1e-12 at
-N=16384 (PR 6), a fused K=32 block solve >= 4x faster than 32 sequential
-plan solves at N=16384 with identical solutions to 1e-12 (PR 8), the
+The full run reproduces the acceptance numbers: a fused K=32 block
+solve >= 4x faster than 32 sequential plan solves at N=16384 with
+identical solutions to 1e-12 (PR 8), the
 16-point Helmholtz sweep >= 2x faster than independent re-builds at equal
 residual (PR 8), — on a host with >= 4 cores — the thread-pooled
 8-step all-independent sweep >= 2x, and the k=1/k=16 streaming insert and k=16 delete each
@@ -646,46 +644,6 @@ def bench_factor_precision(n, tol=1e-10):
     return row
 
 
-def bench_tuned_vs_default(n, tol=1e-8):
-    """The PR-6 acceptance row: ``tuning="auto"`` (calibrated machine
-    profile) vs the default hard-coded dispatch constants, end to end.
-
-    The auto side includes the (cached) calibration cost in its first-run
-    wall clock; correctness is the gate here — the two solutions must be
-    identical to 1e-12 — while the timing delta is informational (on a
-    host resembling the one the defaults were measured on, the derived
-    policy is near-identical and so is the time).
-    """
-    cfg = SolverConfig(compression=CompressionConfig(tol=tol, method="randomized"))
-
-    def run(tuning):
-        t0 = time.perf_counter()
-        res = repro.solve("gaussian_kernel", config=cfg, n=n, tuning=tuning)
-        return time.perf_counter() - t0, res
-
-    td, res_d = run("default")
-    ta, res_a = run("auto")
-    rel = float(
-        np.linalg.norm(res_a.x - res_d.x) / max(np.linalg.norm(res_d.x), 1e-300)
-    )
-    policy = res_a.operator.context.policy
-    row = _row("tuned_vs_default_solve", ta, td, fast_label="auto",
-               slow_label="default", n=n, agreement=rel,
-               relres_auto=res_a.relative_residual,
-               relres_default=res_d.relative_residual,
-               derived_policy={
-                   "min_bucket": policy.min_bucket,
-                   "gemm_pack_max_elements": policy.gemm_pack_max_elements,
-                   "lu_factor_max_n": policy.lu_factor_max_n,
-                   "lu_factor_min_batch": policy.lu_factor_min_batch,
-                   "lu_solve_max_n": policy.lu_solve_max_n,
-                   "lu_solve_min_batch_ratio": policy.lu_solve_min_batch_ratio,
-                   "pad_max_waste": round(policy.pad_max_waste, 4),
-               })
-    assert rel < 1e-12, f"auto-tuned and default solves disagree: {rel}"
-    return row
-
-
 def collect_counters(n=2048, tol=1e-8, leaf_size=64):
     """Deterministic trace counters of a fixed-size SVD-compressed probe.
 
@@ -850,7 +808,6 @@ def main(argv=None):
     n_solve = 2048 if args.smoke else 16384
     n_equiv = 1024 if args.smoke else 4096
     n_e2e = 1024 if args.smoke else 4096
-    n_tuned = 2048 if args.smoke else 16384
     n_sweep = 512 if args.smoke else 4096
     sweep_points = 4 if args.smoke else 16
     rpy_particles = 96 if args.smoke else 400
@@ -910,9 +867,6 @@ def main(argv=None):
     benchmarks["rpy_end_to_end"] = bench_end_to_end(
         "rpy_mobility", num_particles=rpy_particles
     )
-    # the PR-6 acceptance row: calibrated auto-tuning vs the default
-    # constants, identical solutions to 1e-12 (N=16384 on the full run)
-    benchmarks["tuned_vs_default_solve"] = bench_tuned_vs_default(n_tuned)
 
     # deterministic counters at a FIXED probe size (same in smoke and full
     # mode): this is the section the CI perf-gate diffs against the

@@ -68,7 +68,6 @@ from .core.solver import (
     register_solver_variant,
 )
 from .core.spd import SymmetricFactorization
-from .core.preconditioner import HODLRPreconditioner, gmres_with_hodlr, cg_with_hodlr
 from .core import arithmetic
 from .core.peeling import peel_hodlr
 from .core.update import (
@@ -97,13 +96,7 @@ from .backends.counters import get_recorder
 from .backends.parallel import pool_stats, shutdown_pool
 from .backends.device import GPU_V100, CPU_XEON_6254_DUAL, PCIE3_X16, DeviceSpec
 from .backends.perfmodel import PerformanceModel
-from .backends.calibration import (
-    MachineProfile,
-    calibrate,
-    machine_fingerprint,
-    set_active_profile,
-    use_profile,
-)
+from .backends.calibration import MachineProfile
 
 from .kernels.kernel_matrix import KernelMatrix
 from .kernels.radial import (
@@ -220,9 +213,6 @@ __all__ = [
     "available_solver_variants",
     "register_solver_variant",
     "SymmetricFactorization",
-    "HODLRPreconditioner",
-    "gmres_with_hodlr",
-    "cg_with_hodlr",
     "arithmetic",
     "peel_hodlr",
     "HODLRUpdate",
@@ -254,10 +244,6 @@ __all__ = [
     "DeviceSpec",
     "PerformanceModel",
     "MachineProfile",
-    "calibrate",
-    "machine_fingerprint",
-    "set_active_profile",
-    "use_profile",
     "pool_stats",
     "shutdown_pool",
     # kernels

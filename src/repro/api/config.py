@@ -57,12 +57,6 @@ VARIANTS = ("flat", "batched")
 #: :func:`repro.core.peeling.peel_hodlr`)
 CONSTRUCTION_MODES = ("batched", "loop", "peeling")
 
-#: policy tuning modes: ``"default"`` uses the hard-coded crossover
-#: constants; ``"auto"`` derives them from the host's calibrated
-#: :class:`~repro.backends.calibration.MachineProfile`
-TUNING_MODES = ("default", "auto")
-
-
 class ConfigError(ValueError):
     """Raised when a configuration value fails validation."""
 
@@ -207,7 +201,8 @@ class SolverConfig:
         serialisable; the instance is resolved at factorization time.
     dispatch_policy:
         Shape-bucketing policy for the batched primitives (``None`` = the
-        default policy).  Accepts a :class:`DispatchPolicy` or its dict form.
+        default policy, whose crossovers are fixed constants).  Accepts a
+        :class:`DispatchPolicy` or its dict form.
     dtype:
         Storage/factorization dtype override as a dtype name (``"float32"``
         reproduces the paper's single-precision runs); ``None`` keeps the
@@ -227,16 +222,6 @@ class SolverConfig:
         dtype, and iterative refinement for direct solves.  All fields
         round-trip through ``to_dict``/``from_dict``.  ``precision.storage``
         defaults to ``dtype`` when unset, so the two spellings agree.
-    tuning:
-        ``"default"`` keeps the hard-coded dispatch crossovers;
-        ``"auto"`` derives the dispatch policy (and, under a
-        ``residual_budget``, the precision demotion depth) from the host's
-        calibrated :class:`~repro.backends.calibration.MachineProfile`.
-        An explicit ``dispatch_policy`` always wins over the derived one.
-    residual_budget:
-        Largest acceptable relative residual for ``tuning="auto"``'s
-        precision derivation (``None`` = no derived demotion).  Ignored
-        when ``precision`` already demands an explicit plan/factor dtype.
     """
 
     variant: str = "batched"
@@ -246,8 +231,6 @@ class SolverConfig:
     pivot: bool = True
     compression: CompressionConfig = field(default_factory=CompressionConfig)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    tuning: str = "default"
-    residual_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
         _check(
@@ -291,21 +274,6 @@ class SolverConfig:
             f"dtype={self.dtype!r} conflicts with precision.storage="
             f"{self.precision.storage!r}",
         )
-        _check(
-            self.tuning in TUNING_MODES,
-            f"tuning must be one of {TUNING_MODES}, got {self.tuning!r}",
-        )
-        _check(
-            self.residual_budget is None
-            or (
-                isinstance(self.residual_budget, (int, float))
-                and float(self.residual_budget) > 0.0
-            ),
-            f"residual_budget must be None or a positive number, "
-            f"got {self.residual_budget!r}",
-        )
-        if self.residual_budget is not None:
-            object.__setattr__(self, "residual_budget", float(self.residual_budget))
 
     @property
     def numpy_dtype(self) -> Optional[np.dtype]:
@@ -322,33 +290,7 @@ class SolverConfig:
         factorization, and apply.  Resolution happens here — a missing
         backend dependency (e.g. ``backend="cupy"`` without cupy) raises at
         context-creation time.
-
-        With ``tuning="auto"`` the dispatch policy is derived from the
-        host's calibrated :class:`~repro.backends.calibration.MachineProfile`
-        (unless an explicit ``dispatch_policy`` pins it) and, when a
-        ``residual_budget`` is set, the precision demotion depth is chosen
-        by the calibrated performance model.  The derivation here uses the
-        generic balanced-tree level-mass model;
-        :class:`~repro.api.operator.HODLROperator` re-derives with the
-        built matrix's actual level mass.
         """
-        ctx = self._untuned_context()
-        if self.tuning == "auto":
-            # imported lazily: first "auto" use may trigger (cached) host
-            # calibration
-            from ..backends.calibration import auto_tune_context
-
-            ctx = auto_tune_context(
-                ctx,
-                residual_budget=self.residual_budget,
-                tune_policy=self.dispatch_policy is None,
-            )
-        return ctx
-
-    def _untuned_context(self) -> ExecutionContext:
-        """The context exactly as configured, before any ``tuning="auto"``
-        derivation.  :class:`~repro.api.operator.HODLROperator` starts from
-        this and re-tunes with the built matrix's actual level mass."""
         precision = self.precision
         if precision.storage is None and self.dtype is not None:
             precision = replace(precision, storage=self.dtype)
@@ -409,8 +351,6 @@ class SolverConfig:
             "pivot": self.pivot,
             "compression": self.compression.to_dict(),
             "precision": asdict(self.precision),
-            "tuning": self.tuning,
-            "residual_budget": self.residual_budget,
         }
 
     @classmethod

@@ -114,15 +114,14 @@ def _resolve_problem(
     problem: ProblemLike,
     config: Optional[Any],
     problem_params: dict,
-    tuning: Optional[str] = None,
     construction: Optional[str] = None,
 ) -> Tuple[Any, SolverConfig]:
     """Instantiate a named problem and settle the effective config.
 
     The problem is resolved *before* the config so that, when no config was
     passed, the problem's ``default_config`` (see
-    :func:`repro.get_problem`) applies.  Explicit ``tuning=`` /
-    ``construction=`` arguments override the config's own fields.
+    :func:`repro.get_problem`) applies.  An explicit ``construction=``
+    argument overrides the config's own field.
     """
     if isinstance(problem, str):
         problem = get_problem(problem, **problem_params)
@@ -133,8 +132,6 @@ def _resolve_problem(
             f"params {sorted(problem_params)}"
         )
     config = _coerce_config(config, problem)
-    if tuning is not None and tuning != config.tuning:
-        config = config.replace(tuning=tuning)
     if construction is not None and construction != config.compression.construction:
         config = config.replace(
             compression=config.compression.replace(construction=construction)
@@ -145,12 +142,10 @@ def _resolve_problem(
 def assemble(
     problem: ProblemLike,
     config: Optional[SolverConfig] = None,
-    *,
-    tuning: Optional[str] = None,
     **problem_params: Any,
 ) -> AssembledProblem:
     """Resolve any accepted ``problem`` spelling to an :class:`AssembledProblem`."""
-    problem, config = _resolve_problem(problem, config, problem_params, tuning)
+    problem, config = _resolve_problem(problem, config, problem_params)
     comp = config.compression
     if isinstance(problem, AssembledProblem):
         return problem
@@ -211,7 +206,6 @@ def _cached_build(
     problem: ProblemLike,
     config: Optional[Union[SolverConfig, Mapping]],
     problem_params: dict,
-    tuning: Optional[str],
     cache: CacheLike,
     construction: Optional[str] = None,
 ) -> Tuple[AssembledProblem, HODLROperator, SolverConfig]:
@@ -229,9 +223,7 @@ def _cached_build(
         if cache_obj is not None
         else None
     )
-    problem, cfg = _resolve_problem(
-        problem, config, problem_params, tuning, construction
-    )
+    problem, cfg = _resolve_problem(problem, config, problem_params, construction)
     if fp is not None:
         cached = cache_obj.get(fp, cfg)
         if cached is not None:
@@ -267,7 +259,6 @@ def build_operator(
     problem: ProblemLike,
     config: Optional[SolverConfig] = None,
     *,
-    tuning: Optional[str] = None,
     cache: CacheLike = None,
     construction: Optional[str] = None,
     **problem_params: Any,
@@ -276,9 +267,7 @@ def build_operator(
 
     The operator acts in the *caller's* ordering: any internal cluster-tree
     permutation of the problem is carried on the operator and conjugated
-    away on every matvec/solve.  ``tuning="auto"`` derives the dispatch
-    (and budgeted precision) policies from the host's calibrated machine
-    profile — see :mod:`repro.backends.calibration`.
+    away on every matvec/solve.
 
     ``cache=True`` (or a process-wide :func:`repro.enable_operator_cache`)
     reuses an already-built operator for an identical
@@ -292,9 +281,7 @@ def build_operator(
     (a dense problem is wrapped as a matvec source; cap the sampled rank
     with ``config.compression.max_rank``).
     """
-    _, operator, _ = _cached_build(
-        problem, config, problem_params, tuning, cache, construction
-    )
+    _, operator, _ = _cached_build(problem, config, problem_params, cache, construction)
     return operator
 
 
@@ -359,7 +346,6 @@ def solve(
     config: Optional[SolverConfig] = None,
     *,
     compute_residual: Union[bool, str] = True,
-    tuning: Optional[str] = None,
     cache: CacheLike = None,
     **problem_params: Any,
 ) -> SolveResult:
@@ -382,11 +368,6 @@ def solve(
     error (raises if the problem provides no exact operator); ``False``
     skips it.
 
-    ``tuning="auto"`` replaces the hard-coded dispatch crossovers with the
-    host's calibrated machine profile (and, when the config carries a
-    ``residual_budget``, derives the precision demotion depth from it);
-    it is shorthand for ``config.replace(tuning="auto")``.
-
     ``cache=True`` (or a process-wide :func:`repro.enable_operator_cache`)
     reuses a cached factorized operator for an identical
     ``(problem, config)`` request, skipping assembly and factorization —
@@ -403,9 +384,7 @@ def solve(
             f"compute_residual must be True, False, or 'exact', got {compute_residual!r}"
         )
     _require_finite("right-hand side b", b)
-    assembled, operator, config = _cached_build(
-        problem, config, problem_params, tuning, cache
-    )
+    assembled, operator, config = _cached_build(problem, config, problem_params, cache)
     if compute_residual == "exact" and assembled.operator is None:
         raise ValueError(
             f"problem {assembled.name!r} provides no exact operator; "
@@ -445,7 +424,6 @@ def solve_many(
     config: Optional[SolverConfig] = None,
     *,
     compute_residual: Union[bool, str] = True,
-    tuning: Optional[str] = None,
     cache: CacheLike = None,
     **problem_params: Any,
 ) -> SolveResult:
@@ -488,7 +466,6 @@ def solve_many(
         B,
         config,
         compute_residual=False,
-        tuning=tuning,
         cache=cache,
         **problem_params,
     )

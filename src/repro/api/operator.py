@@ -108,25 +108,9 @@ class HODLROperator(LinearOperator):
         """The operator's execution context (resolved lazily from the config,
         so a config naming an unavailable backend fails on first use, not on
         operator construction).
-
-        With ``tuning="auto"`` the context is derived here rather than by
-        :meth:`SolverConfig.execution_context`: the operator holds the
-        built matrix, so the precision-demotion derivation can use its
-        *actual* per-level storage mass instead of the generic
-        balanced-tree model.
         """
         if self._context is None:
-            if self.config.tuning == "auto":
-                from ..backends.calibration import auto_tune_context
-
-                self._context = auto_tune_context(
-                    self.config._untuned_context(),
-                    residual_budget=self.config.residual_budget,
-                    hodlr=self._base,
-                    tune_policy=self.config.dispatch_policy is None,
-                )
-            else:
-                self._context = self.config.execution_context()
+            self._context = self.config.execution_context()
         return self._context
 
     # -- caller ordering <-> internal (cluster-tree) ordering ----------------

@@ -39,7 +39,6 @@ def solve_portfolio(
     config: Optional[SolverConfig] = None,
     *,
     compute_residual: Union[bool, str] = True,
-    tuning: Optional[str] = None,
     cache: CacheLike = True,
     parallel: int = 1,
 ) -> List[SolveResult]:
@@ -56,7 +55,7 @@ def solve_portfolio(
     config:
         Shared :class:`SolverConfig` for entries that do not carry their
         own (``None`` = each problem's default config).
-    compute_residual / tuning:
+    compute_residual:
         Forwarded to every :func:`repro.solve` call.
     cache:
         Defaults to ``True``: all entries share the process-wide
@@ -95,7 +94,6 @@ def solve_portfolio(
             b,
             cfg,
             compute_residual=compute_residual,
-            tuning=tuning,
             cache=cache,
             **params,
         )

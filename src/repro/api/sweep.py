@@ -807,7 +807,6 @@ def run_sweep(
     seed: int = 0,
     keep_workspace: bool = False,
     keep_operators: bool = False,
-    tuning: Optional[str] = None,
     parallel: int = 1,
     **problem_params: Any,
 ) -> SweepResult:
@@ -873,14 +872,14 @@ def run_sweep(
             raise ValueError(
                 "pass either a sequence of SolverConfigs or a shared config=, not both"
             )
-        problem_r, _ = _resolve_problem(problem, configs[0], problem_params, tuning)
+        problem_r, _ = _resolve_problem(problem, configs[0], problem_params)
         return _config_sweep(
             problem_r, configs, rhs, compute_residual, keep_operators, workers
         )
     if any(isinstance(c, SolverConfig) for c in configs):
         raise TypeError("configs mixes SolverConfig objects and parameter mappings")
 
-    problem_r, cfg = _resolve_problem(problem, config, problem_params, tuning)
+    problem_r, cfg = _resolve_problem(problem, config, problem_params)
     overrides: List[Dict[str, Any]] = [dict(c) for c in configs]
 
     sweepable = tuple(getattr(problem_r, "sweep_params", ()) or ())

@@ -18,8 +18,9 @@ immutable object that is threaded through every layer of the stack:
     registered name; the instance is resolved on construction.
 ``policy``
     The :class:`~repro.backends.dispatch.DispatchPolicy` deciding how
-    heterogeneous batches are bucketed (and, new in this revision, whether
-    near-equal shapes are zero-padded into shared buckets).
+    heterogeneous batches are bucketed (and whether near-equal shapes are
+    zero-padded into shared buckets).  Its crossover defaults are fixed
+    constants; pass an explicit policy to change them.
 ``precision``
     A :class:`PrecisionPolicy` describing the dtype each pipeline stage
     carries: the storage dtype of the HODLR blocks and factorization, the
@@ -215,7 +216,7 @@ class ExecutionContext:
     """
 
     backend: Union[str, ArrayBackend] = "numpy"
-    policy: Union[str, DispatchPolicy] = field(default_factory=lambda: DEFAULT_POLICY)
+    policy: DispatchPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
 
     def __post_init__(self) -> None:
@@ -223,18 +224,6 @@ class ExecutionContext:
             object.__setattr__(self, "backend", get_backend(self.backend))
         if self.policy is None:
             object.__setattr__(self, "policy", DEFAULT_POLICY)
-        if isinstance(self.policy, str):
-            if self.policy != "auto":
-                raise ValueError(
-                    f"the only string policy is 'auto', got {self.policy!r}"
-                )
-            # measured-crossover policy for this host (cached calibration);
-            # imported lazily because calibration imports this module
-            from .calibration import get_active_profile
-
-            object.__setattr__(
-                self, "policy", get_active_profile().dispatch_policy()
-            )
         if not isinstance(self.policy, DispatchPolicy):
             raise TypeError(f"policy must be a DispatchPolicy, got {self.policy!r}")
         if not isinstance(self.precision, PrecisionPolicy):

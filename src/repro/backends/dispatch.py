@@ -241,11 +241,10 @@ class DispatchPolicy:
     GPU backend executes every bucket as one batched kernel regardless, so
     these thresholds only matter for the CPU emulation's wall clock).
 
-    The class defaults are *fallback* constants measured once on one
-    development machine.  :mod:`repro.backends.calibration` measures the
-    real crossovers of the current host and derives a policy from them;
-    request it with ``ExecutionContext(policy="auto")`` or
-    ``repro.solve(..., tuning="auto")``.
+    The class defaults are the fixed constants every run uses unless the
+    caller passes its own policy; they were measured once on one
+    development machine.  The paper likewise runs one fixed schedule of
+    batched kernels and tunes no crossover per host.
 
     Parameters
     ----------

@@ -9,8 +9,9 @@ The model then prices each launch on a :class:`DeviceSpec` using a simple
 roofline-with-launch-overhead formula, adds PCIe transfer time for the
 initial copy of ``D_big``/``U_big``/``V_big``, and reports the total.
 
-The model is *not* calibrated to match the paper's absolute seconds.  Its
-purpose is to preserve the qualitative structure of the evaluation:
+The model is *not* fitted to match the paper's absolute seconds, and no
+dispatch or precision choice reads it.  Its purpose is to preserve the
+qualitative structure of the evaluation:
 
 * near-linear growth of factorization/solution cost with N,
 * the GPU-vs-CPU gap and its growth with N (device saturation),
@@ -84,17 +85,6 @@ class PerformanceModel:
     device: DeviceSpec = GPU_V100
     link: Optional[LinkSpec] = PCIE3_X16
     stream_overlap: float = 0.6
-
-    @classmethod
-    def for_host(cls, device: DeviceSpec) -> "PerformanceModel":
-        """A model pricing traces on the host itself: no link, no streams.
-
-        This is what :mod:`repro.backends.calibration` uses to compare
-        precision-demotion candidates on the calibrated machine — there is
-        no PCIe transfer to hide and no independent streams to overlap
-        launch overhead into.
-        """
-        return cls(device=device, link=None, stream_overlap=0.0)
 
     def estimate(self, trace: KernelTrace, include_transfer: bool = True) -> ExecutionEstimate:
         compute = 0.0

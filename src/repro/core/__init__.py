@@ -10,7 +10,6 @@ Layout of the subpackage (bottom-up):
 * :mod:`factor_plan`      -- Algorithms 1-4 as one compiled, packed factor/solve plan.
 * :mod:`solver`           -- user-facing :class:`HODLRSolver`.
 * :mod:`spd`              -- symmetric factorization of SPD HODLR matrices.
-* :mod:`preconditioner`   -- use of low-accuracy factorizations inside GMRES/CG.
 """
 
 from .cluster_tree import ClusterTree, TreeNode
@@ -31,7 +30,6 @@ from .hodlr import HODLRMatrix, build_hodlr, build_hodlr_from_dense
 from .bigdata import BigMatrices
 from .solver import HODLRSolver
 from .spd import SymmetricFactorization
-from .preconditioner import HODLRPreconditioner, gmres_with_hodlr, cg_with_hodlr
 from .arithmetic import (
     add,
     add_diagonal,
@@ -73,7 +71,4 @@ __all__ = [
     "BigMatrices",
     "HODLRSolver",
     "SymmetricFactorization",
-    "HODLRPreconditioner",
-    "gmres_with_hodlr",
-    "cg_with_hodlr",
 ]

@@ -242,8 +242,7 @@ class HODLRSolver:
 
         An explicit ``context=`` replaces the one the config would build —
         this is how :class:`~repro.api.operator.HODLROperator` hands its
-        auto-tuned (``tuning="auto"``) context down instead of having the
-        derivation re-run here from the raw config fields.
+        resolved context down.
         """
         make_context = getattr(config, "execution_context", None)
         kwargs: Dict[str, Any]

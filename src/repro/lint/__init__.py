@@ -5,7 +5,7 @@ device as packed batched kernels: construction, factorization, and apply
 route every array operation through an
 :class:`~repro.backends.dispatch.ArrayBackend`, precision is owned by
 :class:`~repro.backends.context.PrecisionPolicy`, and every kernel launch is
-accounted by :mod:`repro.backends.counters` so the calibrated performance
+accounted by :mod:`repro.backends.counters` so the analytic performance
 model and the CI counter gate stay truthful.  Until now those invariants
 were enforced only at *runtime* — by the recording stub backend in
 ``tests/test_context.py`` and the counter diffs of
@@ -30,7 +30,7 @@ RL003 trace-accounting completeness
     protocol must have a recording wrapper (a ``KernelEvent`` with the
     mapped kernel name) in ``backends/batched.py`` and a flop model
     (``<stem>_flops``) in ``backends/counters.py`` — an un-modeled kernel
-    corrupts the calibrated ``PerformanceModel`` and the CI counter gate.
+    corrupts the analytic ``PerformanceModel`` and the CI counter gate.
 RL004 test determinism
     No wall-clock calls (``time.perf_counter`` & co.) and no unseeded RNG
     (bare ``np.random.*``, ``default_rng()`` without a seed) in ``src/``

@@ -420,7 +420,7 @@ def rl003_trace_accounting(project) -> Iterator[Violation]:
                 method,
                 "RL003",
                 f"ArrayBackend method {method.name!r} has no trace-accounting "
-                "mapping: an un-modeled kernel corrupts the calibrated "
+                "mapping: an un-modeled kernel corrupts the analytic "
                 "PerformanceModel and the CI counter gate.  Add a recording "
                 "wrapper + flop model and map it in "
                 "[tool.repro-lint.rl003-kernels] (or list it in rl003-exempt "

@@ -3,12 +3,11 @@
 Covers the facade (`repro.solve` / `repro.build_operator`), the immutable
 config objects and their dict round-trips, the problem registry, the
 `HODLROperator` SciPy interop (operator and preconditioner inside
-`scipy.sparse.linalg.gmres`), dtype-change refactorization, accumulating
-solve stats, and the deprecation shims for the old constructors.
+`scipy.sparse.linalg.gmres`), dtype-change refactorization, and
+accumulating solve stats.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -123,7 +122,7 @@ class TestSolverConfig:
             dict(variant="dense"),
             dict(backend=""),
             dict(pivot=1),
-            dict(tuning="bogus"),
+            dict(dispatch_policy="auto"),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
         ],
@@ -162,11 +161,14 @@ class TestSolverConfig:
             SolverConfig.from_dict(data)
 
     def test_from_dict_rejects_removed_parallel(self):
-        data = SolverConfig().to_dict()
-        assert "parallel" not in data
-        data["parallel"] = "auto"
-        with pytest.raises(ConfigError, match="parallel"):
-            SolverConfig.from_dict(data)
+        # parallel, tuning and residual_budget were all SolverConfig fields
+        for key, value in (("parallel", "auto"), ("tuning", "auto"),
+                           ("residual_budget", 1e-6)):
+            data = SolverConfig().to_dict()
+            assert key not in data
+            data[key] = value
+            with pytest.raises(ConfigError, match=key):
+                SolverConfig.from_dict(data)
 
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()
@@ -518,43 +520,3 @@ class TestSolveStats:
         assert relres < 1e-9
         # list inputs go through the backend's asarray
         assert solver.relative_residual(list(x), list(b)) == pytest.approx(relres)
-
-
-# ======================================================================
-# deprecation shims
-# ======================================================================
-class TestDeprecationShims:
-    def test_hodlr_preconditioner_warns_and_works(self, hard_system):
-        A, H, b = hard_system
-        with pytest.warns(DeprecationWarning, match="HODLRPreconditioner"):
-            from repro import HODLRPreconditioner
-
-            M = HODLRPreconditioner(HODLRSolver(H, variant="batched"))
-        x, info = spla.gmres(A, b, M=M, rtol=1e-10, atol=0.0, maxiter=400)
-        assert info == 0
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
-
-    def test_gmres_with_hodlr_warns_and_delegates(self, hard_system):
-        A, _, b = hard_system
-        from repro import gmres_with_hodlr
-
-        with pytest.warns(DeprecationWarning, match="gmres_solve"):
-            x, info, log = gmres_with_hodlr(A, b, tol=1e-10, maxiter=400)
-        assert log.iterations == len(log.residuals)
-
-    def test_cg_with_hodlr_warns_and_delegates(self, rng):
-        from repro import cg_with_hodlr
-
-        n = 128
-        A = spd_kernel_matrix(n, seed=2, nugget=1e-1)
-        b = rng.standard_normal(n)
-        with pytest.warns(DeprecationWarning, match="cg_solve"):
-            x, info, _ = cg_with_hodlr(A, b, tol=1e-10, maxiter=500)
-        assert info == 0
-
-    def test_new_paths_do_not_warn(self, system):
-        _, H, b = system
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            op = repro.build_operator(H)
-            gmres_solve(H, b, preconditioner=op, tol=1e-10)

@@ -296,6 +296,9 @@ class TestContextBasics:
         ctx = ExecutionContext(backend="numpy")
         assert isinstance(ctx.backend, NumpyBackend)
         assert not ctx.device_resident
+        # the policy is a DispatchPolicy object; no string names one
+        with pytest.raises(TypeError):
+            ExecutionContext(policy="auto")
 
     def test_resolve_context_legacy_and_merge(self):
         assert resolve_context() is DEFAULT_CONTEXT

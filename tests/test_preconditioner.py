@@ -1,8 +1,7 @@
 """Tests for low-accuracy HODLR factorizations used as Krylov preconditioners.
 
 These exercise the :mod:`repro.api` spellings (``HODLROperator`` /
-``gmres_solve`` / ``cg_solve``); the deprecated ``HODLRPreconditioner`` /
-``gmres_with_hodlr`` shims are covered in ``tests/test_api.py``.
+``gmres_solve`` / ``cg_solve``).
 """
 
 import numpy as np
