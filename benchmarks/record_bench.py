@@ -77,9 +77,20 @@ from repro.backends.parallel import (  # noqa: E402
     reset_pool_stats,
     shutdown_pool,
 )
+from repro.core import build_hodlr  # noqa: E402
+from repro.core.compression import CompressionConfig as CoreCompressionConfig  # noqa: E402
 from repro.kernels import GaussianKernel, KernelMatrix  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
+#: BLAS thread-count variables: the sweep fan-out row's speedup depends on
+#: them (1.84x with BLAS pinned to one thread per worker, 0.68x unpinned
+#: on 2 cores), so every run records them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads():
+    return {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
 
 
 def _timed(fn):
@@ -133,20 +144,25 @@ def _gaussian_km(n):
 
 
 def bench_gaussian_construction(n, max_rank, tol=1e-8, leaf_size=64):
-    """Batched vs loop construction of the Gaussian-kernel HODLR."""
+    """Gathered construction of the Gaussian-kernel HODLR vs a build from a
+    bare ``entries`` callable over the same tree, which evaluates one block
+    per call (no ``entries_blocks`` gather)."""
     km = _gaussian_km(n)
     kwargs = dict(leaf_size=leaf_size, tol=tol, method="randomized", max_rank=max_rank)
-    tb, (Hb, _) = _timed(lambda: km.to_hodlr(construction="batched", **kwargs))
-    tl, (Hl, _) = _timed(lambda: km.to_hodlr(construction="loop", **kwargs))
+    tb, (Hb, perm) = _timed(lambda: km.to_hodlr(construction="batched", **kwargs))
+    config = CoreCompressionConfig(tol=tol, method="randomized", max_rank=max_rank)
+    tl, Hl = _timed(lambda: build_hodlr(
+        lambda r, c: km.entries(perm[r], perm[c]), Hb.tree, config=config
+    ))
     rng = np.random.default_rng(9)
     x = rng.standard_normal(n)
     yb, yl = Hb.matvec(x), Hl.matvec(x)
     rel = float(np.linalg.norm(yb - yl) / np.linalg.norm(yl))
-    # both sides are independent approximations at (tol, max_rank); their
-    # matvecs agree to the compression accuracy, not machine precision
-    row = _row("gaussian_construction", tb, tl, n=n, max_rank=max_rank,
-               tol=tol, leaf_size=leaf_size, matvec_agreement=rel)
-    assert rel < 1e-4, f"batched/loop construction disagree: {rel}"
+    # both sides are approximations at (tol, max_rank); their matvecs agree
+    # to the compression accuracy, not machine precision
+    row = _row("gaussian_construction", tb, tl, slow_label="bare_callable", n=n,
+               max_rank=max_rank, tol=tol, leaf_size=leaf_size, matvec_agreement=rel)
+    assert rel < 1e-4, f"gathered/bare-callable construction disagree: {rel}"
     return row, Hb
 
 
@@ -564,7 +580,7 @@ def bench_parallel_sweep(n, points=8, min_speedup=None):
         worst = max(worst, rel)
     row = _row(f"parallel_sweep_{points}pt", tp, ts, fast_label="parallel",
                slow_label="serial", n=n, points=points, workers=workers,
-               agreement=worst, pool_submissions=subs)
+               agreement=worst, pool_submissions=subs, blas_threads=_blas_threads())
     assert worst < 1e-12, f"parallel and serial sweeps disagree: {worst}"
     if min_speedup is not None:
         assert row["speedup"] >= min_speedup, (
@@ -776,24 +792,12 @@ def collect_cache_counters(n=256):
 
 
 def bench_end_to_end(problem, **params):
-    """``repro.solve`` wall-clock (assemble + factorize + solve), batched vs loop."""
-
-    def run(construction):
-        cfg = SolverConfig(
-            compression=CompressionConfig(
-                tol=1e-8, method="randomized", construction=construction
-            )
-        )
-        t0 = time.perf_counter()
-        res = repro.solve(problem, config=cfg, **params)
-        return time.perf_counter() - t0, res
-
-    tb, res_b = run("batched")
-    tl, res_l = run("loop")
-    row = _row(f"solve_{problem}", tb, tl, relres_batched=res_b.relative_residual,
-               relres_loop=res_l.relative_residual, **params)
+    """``repro.solve`` wall-clock (assemble + factorize + solve)."""
+    cfg = SolverConfig(compression=CompressionConfig(tol=1e-8, method="randomized"))
+    tb, res_b = _timed(lambda: repro.solve(problem, config=cfg, **params))
+    print(f"  {'solve_' + problem:<38s} batched {tb:8.3f}s")
     assert res_b.relative_residual < 1e-6
-    return row
+    return {"batched_s": round(tb, 4), "relres_batched": res_b.relative_residual, **params}
 
 
 def main(argv=None):
@@ -801,7 +805,7 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true",
                     help="reduced sizes for the CI perf-gate job")
     ap.add_argument("--output", default=None,
-                    help="output path (default: BENCH_pr9.json at the repo root, "
+                    help="output path (default: BENCH_pr10.json at the repo root, "
                          "BENCH_smoke.json with --smoke)")
     args = ap.parse_args(argv)
 
@@ -881,6 +885,7 @@ def main(argv=None):
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
+            "blas_threads": _blas_threads(),
             "description": "streaming updates: k-point insert/delete via "
                            "factored bordering + prefix-replay plan patching "
                            "vs full rebuilds (>= 5x at k <= 16, N=16384, "

@@ -1,6 +1,6 @@
-"""Shape-bucketed dispatch vs the seed per-block loop.
+"""Shape-bucketed dispatch vs per-block execution.
 
-The seed emulation executed every heterogeneous pointer-array batch as a
+A naive emulation executes every heterogeneous pointer-array batch as a
 pure Python loop — one NumPy call per block.  The dispatch layer
 (:mod:`repro.backends.dispatch`) groups such batches into uniform shape
 buckets and runs one vectorised ``matmul``/LU call per bucket.  This
@@ -9,25 +9,25 @@ harness measures that improvement on the paper's workloads:
 * **Table III (RPY)** — the gemm/getrf/getrs batches the factorization
   actually issues (harvested from the ``BigMatrices`` level structure,
   concatenated across levels so the batch is genuinely heterogeneous, as a
-  cross-level fused schedule would submit it), timed bucketed vs looped;
-* **Table V (Helmholtz)** — end-to-end factorize+solve wall clock with
-  bucketing on vs off (complex arithmetic);
+  cross-level fused schedule would submit it), timed bucketed vs an inline
+  per-block loop (``a.conj().T @ b``, ``scipy.linalg.lu_factor`` /
+  ``lu_solve``);
+* **Table V (Helmholtz)** — end-to-end factorization wall clock of the
+  compiled plan vs the per-node recursion (``variant="recursive"``) on
+  complex arithmetic;
 * trace verification: heterogeneous batches with >= 2 equal-shape blocks
   must execute as bucketed strided kernels (``strided=True``,
   ``buckets == number of distinct shapes``).
-
-``DispatchPolicy(bucketing=False)`` (``LOOP_POLICY``) is byte-for-byte the
-seed execution path, so the comparison is against the true baseline.
 """
 
 import time
 
 import numpy as np
+from scipy import linalg as sla
 
-from repro import BigMatrices, DispatchPolicy, HODLRSolver
+from repro import BigMatrices, HODLRSolver
 from repro.backends.batched import gemm_batched, getrf_batched, getrs_batched
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import LOOP_POLICY
 
 from common import TableRow, save_rows
 from test_table3_rpy import build_rpy_hodlr
@@ -106,6 +106,17 @@ def _harvest_rpy_batches(leaf_size=RPY_DISPATCH_LEAF):
     return gemm_A, gemm_B, lu_blocks, rhs
 
 
+def _gemm_loop(gemm_A, gemm_B):
+    """One NumPy product per block."""
+    return [a.conj().T @ b for a, b in zip(gemm_A, gemm_B)]
+
+
+def _lu_loop(lu_blocks, rhs):
+    """One LAPACK factorization and one substitution per block."""
+    factors = [sla.lu_factor(m, check_finite=False) for m in lu_blocks]
+    return [sla.lu_solve(f, r, check_finite=False) for f, r in zip(factors, rhs)]
+
+
 class TestTable3RPYDispatch:
     def test_bucketed_strided_kernels_verified_by_trace(self):
         """Heterogeneous batches with >= 2 equal-shape blocks run bucketed."""
@@ -130,16 +141,18 @@ class TestTable3RPYDispatch:
         loop on the Table-III batch population, wall clock."""
         gemm_A, gemm_B, lu_blocks, rhs = _harvest_rpy_batches()
 
-        def pipeline(policy):
-            gemm_batched(gemm_A, gemm_B, conjugate_a=True, policy=policy)
-            lu = getrf_batched(lu_blocks, policy=policy)
-            getrs_batched(lu, rhs, policy=policy)
+        def pipeline():
+            gemm_batched(gemm_A, gemm_B, conjugate_a=True)
+            lu = getrf_batched(lu_blocks)
+            getrs_batched(lu, rhs)
 
-        t_loop = _best_of(lambda: pipeline(LOOP_POLICY))
-        t_bucketed = _best_of(lambda: pipeline(None))  # default policy
-        t_gemm_loop = _best_of(
-            lambda: gemm_batched(gemm_A, gemm_B, conjugate_a=True, policy=LOOP_POLICY)
-        )
+        def loop_pipeline():
+            _gemm_loop(gemm_A, gemm_B)
+            _lu_loop(lu_blocks, rhs)
+
+        t_loop = _best_of(loop_pipeline)
+        t_bucketed = _best_of(pipeline)
+        t_gemm_loop = _best_of(lambda: _gemm_loop(gemm_A, gemm_B))
         t_gemm_bucketed = _best_of(lambda: gemm_batched(gemm_A, gemm_B, conjugate_a=True))
 
         rows = [
@@ -168,12 +181,12 @@ class TestTable3RPYDispatch:
             f"({t_gemm_loop / t_gemm_bucketed:.1f}x)"
         )
         assert t_gemm_bucketed < t_gemm_loop, "bucketed gemm must beat the per-block loop"
-        assert t_bucketed < t_loop, "bucketed dispatch must beat the seed per-block loop"
+        assert t_bucketed < t_loop, "bucketed dispatch must beat the per-block loop"
 
     def test_end_to_end_factorization_report(self):
-        """Full Algorithm-3 factorization with bucketing on vs off (reported;
-        the schedule is already level-batched, so the end-to-end delta is
-        smaller than the raw batch-level speedup)."""
+        """Full Algorithm-3 factorization through the compiled plan vs the
+        per-node recursion (reported; the end-to-end delta is smaller than
+        the raw batch-level speedup)."""
         hodlr, _, _ = build_rpy_hodlr(RPY_DOFS)
         b = np.random.default_rng(11).standard_normal(RPY_DOFS)
 
@@ -181,14 +194,14 @@ class TestTable3RPYDispatch:
             lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, variant="recursive").factorize(),
             repeats=3,
         )
         solver = HODLRSolver(hodlr).factorize()
         x = solver.solve(b)
         relres = float(np.linalg.norm(hodlr.matvec(x) - b) / np.linalg.norm(b))
         print(
-            f"\nRPY end-to-end factorize: loop {t_slow * 1e3:.1f} ms, "
+            f"\nRPY end-to-end factorize: recursive {t_slow * 1e3:.1f} ms, "
             f"bucketed {t_fast * 1e3:.1f} ms, relres {relres:.2e}"
         )
         assert relres < 1e-7
@@ -208,7 +221,7 @@ class TestTable5HelmholtzDispatch:
             lambda: HODLRSolver(hodlr).factorize(), repeats=3
         )
         t_slow = _best_of(
-            lambda: HODLRSolver(hodlr, dispatch_policy=LOOP_POLICY).factorize(),
+            lambda: HODLRSolver(hodlr, variant="recursive").factorize(),
             repeats=3,
         )
         solver = HODLRSolver(hodlr).factorize()
@@ -221,7 +234,7 @@ class TestTable5HelmholtzDispatch:
                 n=n,
                 relres=relres,
                 extra={
-                    "t_factor_loop": t_slow,
+                    "t_factor_recursive": t_slow,
                     "t_factor_bucketed": t_fast,
                     "speedup": t_slow / t_fast,
                 },
@@ -229,7 +242,7 @@ class TestTable5HelmholtzDispatch:
         ]
         save_rows("dispatch_bucketing_helmholtz", rows)
         print(
-            f"\nHelmholtz factorize: loop {t_slow * 1e3:.1f} ms, "
+            f"\nHelmholtz factorize: recursive {t_slow * 1e3:.1f} ms, "
             f"bucketed {t_fast * 1e3:.1f} ms ({t_slow / t_fast:.2f}x), relres {relres:.2e}"
         )
         assert relres < 1e-6
@@ -238,14 +251,12 @@ class TestTable5HelmholtzDispatch:
         assert t_fast < 1.25 * t_slow
 
     def test_policy_equivalence_on_helmholtz(self):
-        """Bucketed and looped dispatch agree to round-off on the complex BIE."""
+        """The compiled plan and the per-node recursion agree to round-off on
+        the complex BIE."""
         n = 512
         _, hodlr = build_helmholtz_hodlr(n, tol=1e-8)
         rng = np.random.default_rng(9)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         fast = HODLRSolver(hodlr).factorize().solve(b)
-        slow = HODLRSolver(
-            hodlr,
-            dispatch_policy=DispatchPolicy(bucketing=False, lu_vectorize=False),
-        ).factorize().solve(b)
+        slow = HODLRSolver(hodlr, variant="recursive").factorize().solve(b)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-10)

@@ -88,7 +88,6 @@ from .backends.dispatch import (
     available_backends,
     get_backend,
     plan_batch,
-    plan_batch_padded,
     register_backend,
 )
 from .backends.memory import DeviceMemoryTracker, hodlr_device_footprint, max_problem_size
@@ -230,7 +229,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "plan_batch",
-    "plan_batch_padded",
     "register_backend",
     "resolve_context",
     "BatchedBackend",

@@ -9,16 +9,16 @@ itself:
     and the proxy-circle resolution for BIE operators.
 
 :class:`SolverConfig`
-    How the factorization runs — variant (``recursive`` / ``flat`` /
-    ``batched``), array backend, dispatch policy, storage dtype, pivoting,
-    and the stream cutoff — plus a nested :class:`CompressionConfig`.
+    How the factorization runs — variant (``batched`` or a registered one
+    such as ``recursive``), array backend, dispatch policy, storage dtype
+    and pivoting — plus a nested :class:`CompressionConfig`.
 
 Both validate on construction, are hashable (usable as sweep keys), and
 round-trip losslessly through ``to_dict``/``from_dict`` so a parameter
 sweep can be serialised to JSON and replayed bit-for-bit:
 
 >>> from repro.api import SolverConfig
->>> cfg = SolverConfig(variant="flat", dtype="float32")
+>>> cfg = SolverConfig(pivot=False, dtype="float32")
 >>> SolverConfig.from_dict(cfg.to_dict()) == cfg
 True
 
@@ -45,17 +45,18 @@ from ..core.solver import available_solver_variants
 #: compression methods the facade accepts (``proxy`` needs a BIE-style operator)
 COMPRESSION_METHODS = ("svd", "rook", "randomized", "proxy")
 
-#: built-in factorization variants (mirrors ``repro.core.solver._VARIANTS``:
-#: two names for the one compiled-plan engine); registered variants
+#: built-in factorization variant (mirrors ``repro.core.solver._VARIANTS``:
+#: the one compiled-plan engine); registered variants
 #: (``recursive``, ``dense_lu``, ``block_sparse``, ``hodlrlib_cpu``, ...)
 #: are additionally accepted — see
 #: :func:`repro.core.solver.register_solver_variant`
-VARIANTS = ("flat", "batched")
+VARIANTS = ("batched",)
 
-#: HODLR construction schedules: level-major batched, per-block loop, or
-#: matvec-only randomized peeling (no entry evaluation — see
+#: HODLR construction schedules: level-major batched, or matvec-only
+#: randomized peeling (no entry evaluation — see
 #: :func:`repro.core.peeling.peel_hodlr`)
-CONSTRUCTION_MODES = ("batched", "loop", "peeling")
+CONSTRUCTION_MODES = ("batched", "peeling")
+
 
 class ConfigError(ValueError):
     """Raised when a configuration value fails validation."""
@@ -91,8 +92,7 @@ class CompressionConfig:
         through the shape-bucketed batched kernels (per shape bucket of a
         tree level: one gathered entry evaluation and one batched
         compression, or for ``rook`` one lockstep cross approximation);
-        ``"loop"`` is the node-major per-block baseline the benchmarks
-        measure against.
+        ``"peeling"`` builds it from matvecs alone (randomized peeling).
     """
 
     tol: float = 1e-10
@@ -192,7 +192,7 @@ class SolverConfig:
     Parameters
     ----------
     variant:
-        ``"batched"`` (default) or its alias ``"flat"``, or a registered
+        ``"batched"`` (default, the compiled plan), or a registered
         variant such as ``"recursive"`` or ``"dense_lu"``.
     backend:
         Name of a registered :class:`~repro.backends.dispatch.ArrayBackend`
@@ -243,7 +243,11 @@ class SolverConfig:
             f"backend must be a registered backend name, got {self.backend!r}",
         )
         if isinstance(self.dispatch_policy, Mapping):
-            object.__setattr__(self, "dispatch_policy", DispatchPolicy(**self.dispatch_policy))
+            try:
+                policy = DispatchPolicy(**self.dispatch_policy)
+            except TypeError as exc:
+                raise ConfigError(str(exc)) from exc
+            object.__setattr__(self, "dispatch_policy", policy)
         _check(
             self.dispatch_policy is None or isinstance(self.dispatch_policy, DispatchPolicy),
             f"dispatch_policy must be a DispatchPolicy or None, got {self.dispatch_policy!r}",

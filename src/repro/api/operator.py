@@ -72,7 +72,7 @@ class HODLROperator(LinearOperator):
         the caller's ordering.
     **overrides:
         Individual :class:`SolverConfig` fields overriding ``config``,
-        e.g. ``HODLROperator(H, variant="flat", dtype="float32")``.
+        e.g. ``HODLROperator(H, variant="recursive", dtype="float32")``.
     """
 
     def __init__(

@@ -24,13 +24,11 @@ from .dispatch import (
     BatchPlanner,
     CupyBackend,
     DispatchPolicy,
-    LOOP_POLICY,
     NumpyBackend,
     ShapeBucket,
     available_backends,
     get_backend,
     plan_batch,
-    plan_batch_padded,
     register_backend,
     registered_backends,
 )
@@ -66,13 +64,11 @@ __all__ = [
     "BatchPlanner",
     "CupyBackend",
     "DispatchPolicy",
-    "LOOP_POLICY",
     "NumpyBackend",
     "ShapeBucket",
     "available_backends",
     "get_backend",
     "plan_batch",
-    "plan_batch_padded",
     "register_backend",
     "registered_backends",
     "DEFAULT_CONTEXT",

@@ -26,15 +26,15 @@ Design notes
   or batched-LU call per bucket, so a batch with ``k`` distinct shapes costs
   ``k`` kernel launches instead of one Python iteration per block.  The
   recorded event carries ``buckets=k`` and ``strided=True`` so the
-  performance model charges ``k`` launches.
+  performance model charges ``k`` launches.  This is the only schedule:
+  there is no per-block or pad-to-bucket alternative.
 * Buckets execute one after another on the calling thread.  Each logical
   launch records ONE event with analytic totals, computed per bucket
-  rather than per block.
-* Passing ``policy=LOOP_POLICY`` (or ``DispatchPolicy(bucketing=False)``)
-  restores the seed's per-block Python loop — the slow generic path a real
-  cuBLAS pointer-array kernel degrades to — with ``strided=False`` recorded,
-  exactly as before.  The benchmarks use this to measure the bucketing
-  speedup.
+  rather than per block.  Within a bucket the
+  :class:`~repro.backends.dispatch.DispatchPolicy` crossovers only choose
+  how the NumPy emulation executes it (one vectorised call over packed
+  storage, or a tight per-problem LAPACK loop); the launch count is the
+  same either way.
 * All array arithmetic goes through an :class:`~repro.backends.dispatch.
   ArrayBackend` (NumPy by default), which is the seam where real GPU
   backends (CuPy) plug in.
@@ -64,10 +64,7 @@ from .dispatch import (
     ArrayBackend,
     DispatchPolicy,
     get_backend,
-    pad_identity_stack,
-    pad_pivot_stack,
     plan_batch,
-    plan_batch_padded,
 )
 
 ArrayBatch = Union[np.ndarray, Sequence[np.ndarray]]
@@ -81,12 +78,6 @@ def _elem_dtype(x) -> np.dtype:
     """Dtype of one batch member without forcing a host conversion."""
     dt = getattr(x, "dtype", None)
     return np.dtype(dt) if dt is not None else np.asarray(x).dtype  # repro-lint: ignore[RL001] -- dtype probe on list-of-arrays input; no device data touched
-
-
-def _dtype_of(batch: ArrayBatch) -> np.dtype:
-    if _is_strided(batch):
-        return np.dtype(batch.dtype)
-    return np.result_type(*[_elem_dtype(b) for b in batch])
 
 
 def _is_complex(dtype: np.dtype) -> bool:
@@ -160,10 +151,7 @@ def gemm_batched(
 
     Blocks sharing a shape are grouped into buckets and executed with one
     strided ``matmul`` per bucket (see module docstring); the returned list
-    is in submission order regardless of bucketing.  With
-    ``policy.pad_buckets`` near-equal shapes are zero-padded into shared
-    buckets (exact for gemm), collapsing singleton-shape batches into far
-    fewer launches.
+    is in submission order regardless of bucketing.
     """
     nbatch = _batch_len(A)
     if _batch_len(B) != nbatch:
@@ -178,25 +166,6 @@ def gemm_batched(
     total_flops = 0.0
     total_bytes = 0.0
     shape_rep: Tuple[int, int, int] = (0, 0, 0)
-
-    if not pol.bucketing:
-        # seed behaviour: the generic per-block loop of a pointer-array kernel
-        dtype = _dtype_of(A)
-        cplx = _is_complex(dtype)
-        for i in range(nbatch):
-            Ai, Bi = xb.asarray(A[i]), xb.asarray(B[i])
-            Ci = xb.asarray(C[i]) if C is not None else None
-            out = _gemm_block(Ai, Bi, Ci, alpha, beta, transpose_a, conjugate_a)
-            results[i] = out
-            shape_rep, flops, nbytes = _gemm_accounting(Ai, Bi, out, cplx)
-            total_flops += flops
-            total_bytes += nbytes
-        _record_gemm(nbatch, shape_rep, total_flops, total_bytes, dtype,
-                     strided=False, buckets=1)
-        return results  # type: ignore[return-value]
-
-    if pol.pad_buckets:
-        return _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol)
 
     plan = plan_batch([(np.shape(A[i]), np.shape(B[i])) for i in range(nbatch)])
     # accounting is analytic per bucket (shapes are uniform within a bucket),
@@ -272,114 +241,6 @@ def _gemm_loose(idx, A, B, C, alpha, beta, transpose_a, conjugate_a, xb, results
         results[i] = _gemm_block(
             xb.asarray(A[i]), xb.asarray(B[i]), Ci, alpha, beta, transpose_a, conjugate_a
         )
-
-
-def _gemm_padded(A, B, C, alpha, beta, transpose_a, conjugate_a, xb, pol):
-    """Pad-to-bucket gemm execution (``DispatchPolicy.pad_buckets``).
-
-    NOTE: this mirrors the packed-bucket branch of :func:`gemm_batched`
-    with padding added (the exact-bucket path keeps its 1-D/2-D rhs bucket
-    separation and zero-copy stacking, which padding cannot).  A semantic
-    change to either executor (operand handling, accounting, the pack
-    crossover) must be applied to both.
-
-    Members are described by the dimension vector ``(a0, a1, n)`` (raw
-    ``A[i]`` shape plus the right-hand-side width); near-equal vectors are
-    merged by the planner and each member is zero-padded to the bucket's
-    target shape.  Zero rows/columns contribute zeros to the product, so
-    slicing the result back to the member's true shape is exact.
-    Accounting charges the *padded* dimensions — that is what the device
-    would execute.
-    """
-    nbatch = _batch_len(A)
-    results: List[Optional[np.ndarray]] = [None] * nbatch
-    squeeze = [np.ndim(B[i]) == 1 for i in range(nbatch)]
-    dims = []
-    for i in range(nbatch):
-        a0, a1 = np.shape(A[i])
-        n = 1 if squeeze[i] else np.shape(B[i])[1]
-        dims.append((a0, a1, n))
-
-    plan = plan_batch_padded(dims, pol.pad_max_waste)
-    dtype = np.result_type(
-        *[_elem_dtype(A[b.indices[0]]) for b in plan.buckets],
-        *[_elem_dtype(B[b.indices[0]]) for b in plan.buckets],
-    )
-    cplx = _is_complex(dtype)
-    itemsize = np.dtype(dtype).itemsize
-    total_flops = 0.0
-    total_bytes = 0.0
-    shape_rep: Tuple[int, int, int] = (0, 0, 0)
-    rep_size = -1
-    for bucket in plan.buckets:
-        idx = bucket.indices
-        a0, a1, n = bucket.key
-        m, k = (a1, a0) if (transpose_a or conjugate_a) else (a0, a1)
-        padded = any(dims[i] != bucket.key for i in idx)
-        if pol.pack_gemm_bucket(len(idx), a0 * a1, k * n):
-            if padded:
-                # promote over every member: a merged bucket may mix real
-                # and complex operands, and the first member's dtype alone
-                # would silently truncate the others
-                bucket_dtype = np.result_type(
-                    *[_elem_dtype(A[i]) for i in idx],
-                    *[_elem_dtype(B[i]) for i in idx],
-                )
-                A3 = xb.zeros((len(idx), a0, a1), dtype=bucket_dtype)
-                B3 = xb.zeros((len(idx), k, n), dtype=bucket_dtype)
-                for j, i in enumerate(idx):
-                    ai0, ai1, ni = dims[i]
-                    A3[j, :ai0, :ai1] = A[i]
-                    Bi = B[i].reshape(-1, 1) if squeeze[i] else B[i]
-                    ki = ai0 if (transpose_a or conjugate_a) else ai1
-                    B3[j, :ki, :ni] = Bi
-            else:
-                bucket_dtype = None
-                A3 = xb.stack([A[i] for i in idx])
-                B3 = xb.stack([B[i].reshape(-1, 1) if squeeze[i] else B[i] for i in idx])
-            if transpose_a or conjugate_a:
-                opA3 = A3.transpose(0, 2, 1)
-                if conjugate_a:
-                    opA3 = opA3.conj()
-            else:
-                opA3 = A3
-            out3 = alpha * xb.matmul(opA3, B3)
-            if C is not None and beta != 0.0:
-                if padded:
-                    C3 = xb.zeros(
-                        (len(idx), m, n),
-                        dtype=np.result_type(
-                            bucket_dtype, *[_elem_dtype(C[i]) for i in idx]
-                        ),
-                    )
-                    for j, i in enumerate(idx):
-                        Ci = C[i]
-                        Ci = Ci.reshape(-1, 1) if np.ndim(Ci) == 1 else Ci
-                        C3[j, : Ci.shape[0], : Ci.shape[1]] = Ci
-                else:
-                    # a merged bucket may mix (m,) and (m, 1) C operands —
-                    # normalise per member, like B above
-                    C3 = xb.stack(
-                        [C[i].reshape(-1, 1) if np.ndim(C[i]) == 1 else C[i] for i in idx]
-                    )
-                out3 = out3 + beta * C3
-            for j, i in enumerate(idx):
-                ai0, ai1, ni = dims[i]
-                mi = ai1 if (transpose_a or conjugate_a) else ai0
-                out = out3[j, :mi, :ni]
-                results[i] = out[:, 0] if squeeze[i] else out
-        else:
-            # above the pack crossover (or a singleton bucket): tight
-            # per-problem execution, still one planned launch
-            _gemm_loose(idx, A, B, C, alpha, beta, transpose_a, conjugate_a, xb, results)
-        total_flops += len(idx) * gemm_flops(m, n, k, cplx)
-        total_bytes += float(len(idx) * (a0 * a1 + k * n + m * n) * itemsize)
-        if len(idx) > rep_size:
-            rep_size = len(idx)
-            shape_rep = (m, n, k)
-    _record_gemm(nbatch, shape_rep, total_flops, total_bytes, dtype,
-                 strided=True, buckets=plan.num_buckets)
-    return results
 
 
 def _storage_nbytes(a: np.ndarray) -> int:
@@ -581,7 +442,6 @@ def getrf_batched(
     if nbatch == 0:
         return BatchedLU(lu=[], piv=[], pivot=pivot)
     xb, pol = _resolve(backend, policy, context)
-    strided_in = _is_strided(A)
 
     lus: List[Optional[np.ndarray]] = [None] * nbatch
     pivs: List[Optional[np.ndarray]] = [None] * nbatch
@@ -589,27 +449,6 @@ def getrf_batched(
     total_bytes = 0.0
     shape_rep = (0, 0, 0)
     empty_piv = np.empty(0, dtype=np.int64)
-
-    if not pol.bucketing:
-        dtype = _dtype_of(A)
-        cplx = _is_complex(dtype)
-        for i in range(nbatch):
-            Ai = xb.asarray(A[i])
-            if Ai.shape[0] != Ai.shape[1]:
-                raise ValueError("getrf_batched requires square matrices")
-            n = Ai.shape[0]
-            shape_rep = (n, n, 0)
-            total_flops += getrf_flops(n, cplx)
-            total_bytes += 2.0 * Ai.nbytes
-            lu, piv = xb.lu_factor(Ai, pivot=pivot)
-            lus[i] = lu
-            pivs[i] = piv if pivot else empty_piv
-        _record_lu("getrf_batched", nbatch, shape_rep, total_flops, total_bytes,
-                   dtype, strided=strided_in, buckets=1)
-        return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
-
-    if pol.pad_buckets:
-        return _getrf_padded(A, nbatch, pivot, xb, pol)
 
     plan = plan_batch([np.shape(A[i]) for i in range(nbatch)])
     for bucket in plan.buckets:
@@ -651,63 +490,6 @@ def _getrf_loose(idx, A, pivot, xb, lus, pivs):
         pivs[i] = piv if pivot else empty_piv
 
 
-def _getrf_padded(A, nbatch, pivot, xb, pol):
-    """Pad-to-bucket LU factorization (``DispatchPolicy.pad_buckets``).
-
-    Near-equal sizes merge into one **identity-bordered** padded bucket:
-    the padded problem is ``blkdiag(A_i, I)``, whose LU factor is exactly
-    ``blkdiag(LU(A_i), I)`` — partial pivoting never selects a border row
-    (they are zero in every ``A`` column) — so slicing the leading block of
-    the padded factor recovers the *exact* unpadded factorization.  Unlike
-    gemm padding there is no approximation anywhere; accounting charges the
-    padded shapes, which is what the device would execute.
-    """
-    dims = []
-    for i in range(nbatch):
-        shape = np.shape(A[i])
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("getrf_batched requires square matrices")
-        dims.append(shape)
-    plan = plan_batch_padded(dims, pol.pad_max_waste)
-    dtype = np.result_type(*[_elem_dtype(A[b.indices[0]]) for b in plan.buckets])
-    cplx = _is_complex(dtype)
-    itemsize = np.dtype(dtype).itemsize
-    lus: List[Optional[np.ndarray]] = [None] * nbatch
-    pivs: List[Optional[np.ndarray]] = [None] * nbatch
-    empty_piv = np.empty(0, dtype=np.int64)
-    total_flops = 0.0
-    total_bytes = 0.0
-    shape_rep = (0, 0, 0)
-    rep_size = -1
-    for bucket in plan.buckets:
-        idx = bucket.indices
-        n_pad = bucket.key[0]
-        if pol.vectorize_lu_factor(len(idx), n_pad):
-            # the stack dtype must promote over *every* member (a merged
-            # bucket may mix real and complex blocks)
-            bucket_dtype = np.result_type(*[_elem_dtype(A[i]) for i in idx])
-            stack = pad_identity_stack(
-                xb, [xb.asarray(A[i]) for i in idx], n_pad, bucket_dtype
-            )
-            lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
-            for j, i in enumerate(idx):
-                m = dims[i][0]
-                lus[i] = lu3[j, :m, :m]
-                pivs[i] = piv3[j, :m] if pivot else empty_piv
-        else:
-            # a singleton (or tiny) bucket above the vectorisation
-            # crossover: blocked per-problem LAPACK, no padding needed
-            _getrf_loose(idx, A, pivot, xb, lus, pivs)
-        total_flops += len(idx) * getrf_flops(n_pad, cplx)
-        total_bytes += float(len(idx) * 2 * n_pad * n_pad * itemsize)
-        if len(idx) > rep_size:
-            rep_size = len(idx)
-            shape_rep = (n_pad, n_pad, 0)
-    _record_lu("getrf_batched", nbatch, shape_rep, total_flops, total_bytes,
-               dtype, strided=True, buckets=plan.num_buckets)
-    return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
-
-
 def getrs_batched(
     factors: BatchedLU,
     B: ArrayBatch,
@@ -726,7 +508,6 @@ def getrs_batched(
     if nbatch == 0:
         return []
     xb, pol = _resolve(backend, policy, context)
-    strided_in = _is_strided(B)
 
     xs: List[Optional[np.ndarray]] = [None] * nbatch
     total_flops = 0.0
@@ -739,24 +520,6 @@ def getrs_batched(
         Bi = xb.asarray(B[i])
         squeeze.append(Bi.ndim == 1)
         rhs2d.append(Bi if Bi.ndim == 2 else Bi.reshape(-1, 1))
-
-    if not pol.bucketing:
-        dtype = _dtype_of(B)
-        cplx = _is_complex(dtype)
-        for i in range(nbatch):
-            n = factors.lu[i].shape[0]
-            nrhs = rhs2d[i].shape[1]
-            shape_rep = (n, nrhs, 0)
-            total_flops += getrs_flops(n, nrhs, cplx)
-            total_bytes += float(factors.lu[i].nbytes + 2 * rhs2d[i].size * rhs2d[i].dtype.itemsize)
-            x = xb.lu_solve(factors.lu[i], factors.piv[i], rhs2d[i], pivot=factors.pivot)
-            xs[i] = x.ravel() if squeeze[i] else x
-        _record_lu("getrs_batched", nbatch, shape_rep, total_flops, total_bytes,
-                   dtype, strided=strided_in, buckets=1)
-        return xs  # type: ignore[return-value]
-
-    if pol.pad_buckets:
-        return _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol)
 
     plan = plan_batch(
         [(factors.lu[i].shape[0], rhs2d[i].shape[1]) for i in range(nbatch)]
@@ -797,67 +560,6 @@ def _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs):
         xs[i] = x.ravel() if squeeze[i] else x
 
 
-def _getrs_padded(factors, rhs2d, squeeze, nbatch, xb, pol):
-    """Pad-to-bucket LU solve (``DispatchPolicy.pad_buckets``).
-
-    Factors pad with an identity border and right-hand sides with zero
-    rows/columns: padded rows solve against the appended identity block and
-    padded columns stay zero, so slicing the solution back to the true
-    shape is exact (see :func:`_getrf_padded`).
-    """
-    dims = [(factors.lu[i].shape[0], rhs2d[i].shape[1]) for i in range(nbatch)]
-    plan = plan_batch_padded(dims, pol.pad_max_waste)
-    dtype = np.result_type(*[rhs2d[b.indices[0]].dtype for b in plan.buckets])
-    cplx = _is_complex(dtype)
-    rhs_itemsize = np.dtype(dtype).itemsize
-    xs: List[Optional[np.ndarray]] = [None] * nbatch
-    total_flops = 0.0
-    total_bytes = 0.0
-    shape_rep = (0, 0, 0)
-    rep_size = -1
-    for bucket in plan.buckets:
-        idx = bucket.indices
-        n_pad, nrhs_pad = bucket.key
-        lu_itemsize = factors.lu[idx[0]].dtype.itemsize
-        if not pol.vectorize_lu_solve(len(idx), n_pad):
-            # above the vectorisation crossover: BLAS-3 substitution per
-            # problem inside the bucket, still one planned launch
-            _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs)
-        elif any(dims[i] != bucket.key for i in idx):
-            lu_dtype = np.result_type(*[factors.lu[i].dtype for i in idx])
-            rhs_dtype = np.result_type(lu_dtype, *[rhs2d[i].dtype for i in idx])
-            lu3 = pad_identity_stack(xb, [factors.lu[i] for i in idx], n_pad, lu_dtype)
-            piv3 = pad_pivot_stack(
-                [factors.piv[i] for i in idx], [dims[i][0] for i in idx], n_pad
-            )
-            rhs3 = xb.zeros((len(idx), n_pad, nrhs_pad), dtype=rhs_dtype)
-            for j, i in enumerate(idx):
-                n, nrhs = dims[i]
-                rhs3[j, :n, :nrhs] = rhs2d[i]
-            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-            for j, i in enumerate(idx):
-                n, nrhs = dims[i]
-                x = x3[j, :n, :nrhs]
-                xs[i] = x.ravel() if squeeze[i] else x
-        else:
-            lu3 = xb.stack([factors.lu[i] for i in idx])
-            piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
-            rhs3 = xb.stack([rhs2d[i] for i in idx])
-            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-            for j, i in enumerate(idx):
-                xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
-        total_flops += len(idx) * getrs_flops(n_pad, nrhs_pad, cplx)
-        total_bytes += float(
-            len(idx) * (n_pad * n_pad * lu_itemsize + 2 * n_pad * nrhs_pad * rhs_itemsize)
-        )
-        if len(idx) > rep_size:
-            rep_size = len(idx)
-            shape_rep = (n_pad, nrhs_pad, 0)
-    _record_lu("getrs_batched", nbatch, shape_rep, total_flops, total_bytes,
-               dtype, strided=True, buckets=plan.num_buckets)
-    return xs  # type: ignore[return-value]
-
-
 def _record_lu(kernel, nbatch, shape_rep, flops, nbytes, dtype, strided, buckets):
     record_event(
         KernelEvent(
@@ -885,7 +587,7 @@ class BatchedBackend:
     substitute counting or fault-injecting backends, and so that the array
     backend (NumPy / CuPy) and the dispatch policy can be chosen per
     solver.  The default forwards to the module-level functions on the
-    NumPy backend with bucketing enabled.
+    NumPy backend with the default policy.
     """
 
     def __init__(

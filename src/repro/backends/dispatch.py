@@ -23,15 +23,19 @@ This module turns the emulation layer into a real dispatch seam:
     maximal index sets whose operands share identical shapes.  Each bucket
     is packed into strided 3-D storage and executed with one vectorised
     ``matmul``/LU call, so a batch with ``k`` distinct shapes costs ``k``
-    kernel launches instead of one Python iteration per block.
-    :meth:`BatchPlanner.plan_padded` additionally merges *near-equal*
-    shapes into shared zero-padded buckets (opt-in via
-    ``DispatchPolicy(pad_buckets=True)``), so trees with many singleton
-    shapes stop degenerating into per-block launches.
+    kernel launches instead of one Python iteration per block.  Bucketing
+    is the one schedule every batched primitive runs; there is no
+    per-block or pad-to-bucket alternative.
 
 :class:`DispatchPolicy`
-    Tunables deciding when bucketing and the vectorised batched LU are
-    profitable (bucket size thresholds, maximum per-problem LU size).
+    Crossovers deciding how the NumPy emulation executes a bucket (packed
+    strided storage vs a tight per-problem loop, vectorised batched LU vs
+    per-problem LAPACK).  They never change the launch count.
+
+:func:`pad_identity_stack` / :func:`pad_pivot_stack`
+    Identity-bordered packing of square LU factors of *different* sizes
+    into one stack.  The compiled factor plan's patch path uses it to
+    re-solve a dirty ancestor's clean leaves of mixed sizes in one call.
 
 The planner is deliberately independent of the execution layer: it only
 sees shape keys, so it is reusable for any batched primitive (and is unit
@@ -41,7 +45,7 @@ tested on bare tuples in ``tests/test_dispatch.py``).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Hashable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -114,67 +118,6 @@ class BatchPlanner:
         )
         return BatchPlan(buckets=buckets, nbatch=len(keys))
 
-    def plan_padded(
-        self, shapes: Sequence[Tuple[int, ...]], max_waste: float = 0.25
-    ) -> BatchPlan:
-        """Group integer shape tuples, merging near-equal shapes by padding.
-
-        Unlike :meth:`plan` the keys must be tuples of non-negative ints (a
-        per-member dimension vector).  Exact-shape groups are formed first;
-        groups are then greedily merged — largest first — into a *target*
-        shape (the dimension-wise maximum) whenever every member's padding
-        waste ``1 - prod(shape) / prod(target)`` stays at or below
-        ``max_waste``.  The returned bucket ``key`` is the target shape;
-        members may be smaller and must be zero-padded to it by the
-        executor.  Adaptive-rank trees, whose levels produce many singleton
-        shapes differing by a column or two, collapse from one launch per
-        block to one launch per padded bucket.
-        """
-        exact = self.plan(shapes)
-        if max_waste <= 0.0 or exact.num_buckets <= 1:
-            return exact
-
-        def _volume(shape: Tuple[int, ...]) -> int:
-            v = 1
-            for d in shape:
-                v *= int(d)
-            return v
-
-        # largest shapes first, ties broken by first occurrence for determinism
-        order = sorted(
-            range(exact.num_buckets),
-            key=lambda i: (-_volume(exact.buckets[i].key), exact.buckets[i].indices[0]),
-        )
-        groups: List[Tuple[Tuple[int, ...], List[ShapeBucket]]] = []
-        for i in order:
-            bucket = exact.buckets[i]
-            shape = bucket.key
-            vol = _volume(shape)
-            placed = False
-            for g, (target, members) in enumerate(groups):
-                if len(shape) != len(target):
-                    continue
-                if any(d > t for d, t in zip(shape, target)):
-                    continue
-                tvol = _volume(target)
-                if tvol and 1.0 - vol / tvol <= max_waste:
-                    members.append(bucket)
-                    placed = True
-                    break
-            if not placed:
-                groups.append((shape, [bucket]))
-
-        merged = []
-        for target, members in groups:
-            indices: List[int] = []
-            for b in members:
-                indices.extend(b.indices)
-            indices.sort()
-            merged.append(ShapeBucket(key=target, indices=tuple(indices)))
-        # deterministic output order: by first member, like plan()
-        merged.sort(key=lambda b: b.indices[0])
-        return BatchPlan(buckets=tuple(merged), nbatch=len(shapes))
-
 
 def pad_identity_stack(xb, blocks, width: int, dtype):
     """Pack square blocks into ``(nb, width, width)`` with identity borders.
@@ -184,8 +127,8 @@ def pad_identity_stack(xb, blocks, width: int, dtype):
     the leading sub-block of the padded factor is the exact factor of
     ``A_i``, and padded right-hand-side rows solve against the identity —
     so the padding is exact for both ``getrf`` and ``getrs``.  This is the
-    single implementation shared by the padded LU executors and the
-    compiled factor plans.
+    packing the compiled factor plan's patch re-solves use for clean
+    leaves of mixed sizes.
     """
     out = xb.zeros((len(blocks), width, width), dtype=dtype)
     for j, blk in enumerate(blocks):
@@ -219,13 +162,6 @@ def plan_batch(keys: Sequence[Hashable]) -> BatchPlan:
     return _PLANNER.plan(keys)
 
 
-def plan_batch_padded(
-    shapes: Sequence[Tuple[int, ...]], max_waste: float = 0.25
-) -> BatchPlan:
-    """Pad-merging plan via the module-level :class:`BatchPlanner`."""
-    return _PLANNER.plan_padded(shapes, max_waste=max_waste)
-
-
 # ======================================================================
 # dispatch policy
 # ======================================================================
@@ -233,13 +169,13 @@ def plan_batch_padded(
 class DispatchPolicy:
     """Tunables for the bucketed batch dispatch.
 
-    Bucketing is a *schedule* decision: a planned call always costs one
-    launch per shape bucket (recorded in the kernel event).  Within a
-    bucket the NumPy emulation additionally chooses the fastest host
-    execution — packed strided storage plus one vectorised call, or a tight
-    per-problem LAPACK loop — using the measured crossovers below (a real
-    GPU backend executes every bucket as one batched kernel regardless, so
-    these thresholds only matter for the CPU emulation's wall clock).
+    Bucketing is the schedule: a planned call always costs one launch per
+    shape bucket (recorded in the kernel event).  Within a bucket the NumPy
+    emulation chooses the fastest host execution — packed strided storage
+    plus one vectorised call, or a tight per-problem LAPACK loop — using
+    the measured crossovers below (a real GPU backend executes every
+    bucket as one batched kernel regardless, so these thresholds only
+    matter for the CPU emulation's wall clock).
 
     The class defaults are the fixed constants every run uses unless the
     caller passes its own policy; they were measured once on one
@@ -248,11 +184,6 @@ class DispatchPolicy:
 
     Parameters
     ----------
-    bucketing:
-        Group pointer-array batches into shape buckets.  ``False``
-        reproduces the seed behaviour — the generic per-block Python loop
-        with per-block accounting — and exists so the benchmarks can
-        measure the improvement against it.
     min_bucket:
         Smallest bucket considered for packed execution; smaller buckets
         execute as individual calls (a strided batch of one is just a
@@ -263,8 +194,6 @@ class DispatchPolicy:
         the pack copy costs more than the per-call overhead it saves and
         the bucket runs as a tight loop (measured crossover ~48x48 blocks
         on OpenBLAS).
-    lu_vectorize:
-        Allow the vectorised batched LU kernels at all.
     lu_factor_max_n / lu_factor_min_batch:
         Use the vectorised batched elimination for a factorization bucket
         only when the blocks are at most ``lu_factor_max_n`` wide and the
@@ -276,34 +205,21 @@ class DispatchPolicy:
         ``n <= lu_solve_max_n`` and ``batch >= ratio * n`` (substitution
         vectorises better than elimination: each of the O(n) steps is one
         batched matmul).
-    pad_buckets / pad_max_waste:
-        Opt-in pad-to-bucket packing: near-equal shapes are merged into
-        one padded bucket when every member wastes at most
-        ``pad_max_waste`` of the padded volume.  Adaptive-rank trees
-        produce many singleton shapes (ranks differing by a column or two
-        per node) that otherwise degenerate into per-block launches; with
-        padding they execute as one strided kernel per merged bucket.
-        Gemm batches zero-pad (exact: padded rows/columns contribute zeros
-        that are sliced away).  LU batches (``getrf_batched``/
-        ``getrs_batched`` and the compiled
-        :class:`~repro.core.factor_plan.FactorPlan` buckets) pad with an
-        **identity border** — the padded problem is ``blkdiag(A, I)``, so
-        partial pivoting never crosses the border, the leading sub-block
-        of the padded factor is the exact factor of ``A``, and padded
-        right-hand-side rows solve against the appended identity — also
-        exact.
     """
 
-    bucketing: bool = True
     min_bucket: int = 2
     gemm_pack_max_elements: int = 2048
-    lu_vectorize: bool = True
     lu_factor_max_n: int = 12
     lu_factor_min_batch: int = 24
     lu_solve_max_n: int = 48
     lu_solve_min_batch_ratio: float = 4.0
-    pad_buckets: bool = False
-    pad_max_waste: float = 0.25
+
+    def __new__(cls, *args, **kwargs):
+        valid = [f.name for f in fields(cls)]
+        unknown = sorted(set(kwargs) - set(valid))
+        if unknown:
+            raise TypeError(f"unknown DispatchPolicy fields {unknown}; valid fields: {valid}")
+        return super().__new__(cls)
 
     def replace(self, **changes) -> "DispatchPolicy":
         """A copy with the given tunables replaced (the policy is frozen)."""
@@ -321,16 +237,14 @@ class DispatchPolicy:
     def vectorize_lu_factor(self, nblocks: int, n: int) -> bool:
         """Should a factorization bucket use the vectorised batched LU?"""
         return (
-            self.lu_vectorize
-            and nblocks >= max(self.min_bucket, self.lu_factor_min_batch)
+            nblocks >= max(self.min_bucket, self.lu_factor_min_batch)
             and n <= self.lu_factor_max_n
         )
 
     def vectorize_lu_solve(self, nblocks: int, n: int) -> bool:
         """Should a solve bucket use the vectorised batched substitution?"""
         return (
-            self.lu_vectorize
-            and nblocks >= self.min_bucket
+            nblocks >= self.min_bucket
             and n <= self.lu_solve_max_n
             and nblocks >= self.lu_solve_min_batch_ratio * max(n, 1)
         )
@@ -338,10 +252,6 @@ class DispatchPolicy:
 
 #: default policy used by the batched primitives
 DEFAULT_POLICY = DispatchPolicy()
-
-#: seed-equivalent policy: pure per-block Python loop, no bucketing
-LOOP_POLICY = DispatchPolicy(bucketing=False, lu_vectorize=False)
-
 
 # ======================================================================
 # vectorised batched LU kernels (generic over the array module)

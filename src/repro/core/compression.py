@@ -66,12 +66,10 @@ class CompressionConfig:
         ``"batched"`` (default) drives :func:`repro.core.build_hodlr`
         level-major: kernel entries for a whole tree level are gathered in
         one vectorized call and sibling blocks are compressed through the
-        shape-bucketed batched kernels.  ``"loop"`` reproduces the
-        node-major per-block construction (one compression per block, one
-        ``entries`` call per block) — the baseline the benchmarks measure
-        against.  ``method="rook"`` never materialises a block: the batched
-        schedule runs one lockstep :func:`rook_pivot_compress_blocks` per
-        shape bucket.
+        shape-bucketed batched kernels.  ``method="rook"`` never
+        materialises a block: the batched schedule runs one lockstep
+        :func:`rook_pivot_compress_blocks` per shape bucket.  ``"peeling"``
+        builds from matvecs alone (:func:`repro.core.peeling.peel_hodlr`).
     """
 
     tol: float = 1e-12
@@ -495,14 +493,11 @@ def compress_block_stack(
     unpacking.  ``rook`` runs the lockstep
     :func:`rook_pivot_compress_blocks` over the stack (the level-major
     builder calls it on kernel gathers instead, never materialising the
-    blocks).  With ``policy.bucketing=False``
-    (:data:`~repro.backends.dispatch.LOOP_POLICY`) ``svd`` and
-    ``randomized`` compress the slices one at a time.  ``context``
-    supersedes the legacy ``backend=``/``policy=`` pair; a device-resident
-    context keeps the stack and factors there.
+    blocks).  ``context`` supersedes the legacy ``backend=``/``policy=``
+    pair; a device-resident context keeps the stack and factors there.
     """
     ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
+    xb = ctx.backend
     stack = xb.asarray(stack)
     if stack.ndim != 3:
         raise ValueError("compress_block_stack expects a (batch, m, n) stack")
@@ -518,22 +513,10 @@ def compress_block_stack(
         )
     if config.method == "randomized":
         rng = rng if rng is not None else config.generator()
-        if not pol.bucketing:
-            return [
-                randomized_compress_dense(
-                    stack[i], tol=config.tol, max_rank=config.max_rank, rng=rng
-                )
-                for i in range(stack.shape[0])
-            ]
         return _randomized_stack(
             stack, config.tol, config.max_rank, config.oversampling, rng, xb
         )
     if config.method == "svd":
-        if not pol.bucketing:
-            return [
-                svd_compress(stack[i], tol=config.tol, max_rank=config.max_rank)
-                for i in range(stack.shape[0])
-            ]
         return _svd_stack(stack, config.tol, config.max_rank, xb)
     raise ValueError(f"unknown compression method {config.method!r}")
 
@@ -550,8 +533,6 @@ def compress_blocks_batched(
     Blocks sharing a shape are packed into one strided stack and compressed
     by :func:`compress_block_stack` (ranks may differ per block); the
     randomized path draws every bucket's test matrices from one generator.
-    ``policy.bucketing=False`` (:data:`~repro.backends.dispatch.LOOP_POLICY`)
-    reproduces the per-block loop for ``svd`` and ``randomized``.
     """
     ctx = resolve_context(context, backend, policy)
     rng = config.generator()
@@ -611,14 +592,12 @@ def recompress_stack(
     O(shape buckets) kernel launches.  Truncation counts are applied per
     block (ranks may differ after truncation).  This is the path the
     streaming update/downdate engine sends its dirty concatenated factors
-    through.  ``policy.bucketing=False`` reproduces the per-block loop.
+    through.
     """
     ctx = resolve_context(context, backend, policy)
-    pol, xb = ctx.policy, ctx.backend
+    xb = ctx.backend
     if not factors:
         return []
-    if not pol.bucketing:
-        return [f.recompress(tol=tol, max_rank=max_rank) for f in factors]
     results: List[Optional[LowRankFactor]] = [None] * len(factors)
     keys = []
     for f in factors:

@@ -47,14 +47,15 @@ one extra copy of the basis storage.
 ``HODLRSolver.stats.factorization_bytes`` reports the full resident
 footprint.
 
-Pad-to-bucket LU packing
-------------------------
-With ``DispatchPolicy(pad_buckets=True)`` near-equal leaf/node sizes merge
-into shared buckets.  LU buckets pad with an **identity border** (the
-padded matrix is ``blkdiag(A, I)``): partial pivoting never crosses the
-border, the leading sub-block of the padded factor *is* the factor of
-``A``, and padded right-hand-side rows solve against the identity — so
-padding is exact, not approximate.
+Buckets
+-------
+A fresh plan buckets leaves by exact size and a level's children by exact
+``(size, rank)``: one schedule, no padding.  The only mixed-size stacks
+are built by :func:`patch_factor_plan`, which re-solves the clean leaves
+under one dirty ancestor together.  Those pad with an **identity border**
+(:func:`~repro.backends.dispatch.pad_identity_stack`, the padded matrix is
+``blkdiag(A, I)``): partial pivoting never crosses the border and padded
+right-hand-side rows solve against the identity, so the padding is exact.
 """
 
 from __future__ import annotations
@@ -73,12 +74,7 @@ from ..backends.counters import (
     getrs_flops,
     record_event,
 )
-from ..backends.dispatch import (
-    pad_identity_stack,
-    pad_pivot_stack,
-    plan_batch,
-    plan_batch_padded,
-)
+from ..backends.dispatch import pad_identity_stack, pad_pivot_stack, plan_batch
 from .packing import GatherScatter, demote_rhs_dtype, pack_stack
 
 
@@ -89,7 +85,7 @@ def _is_complex(dtype) -> bool:
     return np.issubdtype(np.dtype(dtype), np.complexfloating)
 
 
-def _getrf_packed(xb, pol, A3, pivot: bool = True):
+def _getrf_packed(xb, pol, A3, pivot: bool = True, level=None, nodes=()):
     """LU-factorize a packed ``(nb, n, n)`` stack: one planned launch.
 
     The dispatch policy decides the host execution inside the launch —
@@ -97,6 +93,11 @@ def _getrf_packed(xb, pol, A3, pivot: bool = True):
     LAPACK otherwise.  Pivots are always returned full-length
     (``arange`` rows for the non-pivoted path), so downstream code never
     branches on pivot storage.
+
+    A zero or non-finite pivot (a singular block, or NaN input) raises
+    :class:`numpy.linalg.LinAlgError` naming ``level`` and the rows of the
+    offending member of ``nodes`` (the tree nodes the stack was packed
+    from); one O(nb·n) pass over the factor diagonals checks it.
     """
     nb, n = A3.shape[0], A3.shape[1]
     if pol.vectorize_lu_factor(nb, n):
@@ -110,6 +111,14 @@ def _getrf_packed(xb, pol, A3, pivot: bool = True):
             lu, piv = xb.lu_factor(A3[i], pivot=pivot)
             lu3[i] = lu
             piv3[i] = piv if (pivot and np.size(piv) == n) else base
+    diag = lu3.diagonal(axis1=1, axis2=2)
+    ok = (np.isfinite(diag) & (diag != 0)).all(axis=1)
+    if not bool(ok.all()):
+        nd = nodes[int(np.argmin(xb.to_host(ok)))]
+        raise np.linalg.LinAlgError(  # repro-lint: ignore[RL001] -- raises numpy's exception type; no array work
+            f"level {level}: zero or non-finite pivot factorizing the block "
+            f"at rows {nd.start}:{nd.stop}"
+        )
     record_event(
         KernelEvent(
             kernel="getrf_batched",
@@ -176,12 +185,12 @@ def _lu_slogdet(lu: np.ndarray, piv: np.ndarray) -> Tuple[complex, float]:
 # ======================================================================
 @dataclass
 class _LeafBucket:
-    """LU factors of the leaf diagonal blocks sharing one (padded) size."""
+    """LU factors of the leaf diagonal blocks sharing one size."""
 
     #: positions of the members within ``tree.leaves`` submission order
     positions: Tuple[int, ...]
     gs: GatherScatter
-    #: (nb, M, M) packed LU factors (identity-bordered when padded)
+    #: (nb, M, M) packed LU factors
     lu3: np.ndarray
     #: (nb, M) pivot rows
     piv3: np.ndarray
@@ -353,7 +362,7 @@ class FactorPlan:
     # ------------------------------------------------------------------
     def leaf_lu_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``(lu, piv)`` of every leaf in ``tree.leaves`` order (views into
-        the packed stacks; padded borders sliced away)."""
+        the packed stacks)."""
         out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(
             self.tree.leaves
         )
@@ -368,18 +377,16 @@ class FactorPlan:
     # determinant
     # ------------------------------------------------------------------
     def slogdet(self) -> Tuple[complex, float]:
-        """Sign/phase and log-magnitude of ``det(A)`` from the packed factors.
-
-        Identity-bordered padding contributes ``log 1 = 0`` and no row
-        swaps, so padded stacks need no special casing.
-        """
+        """Sign/phase and log-magnitude of ``det(A)`` from the packed factors."""
         xb = self.context.backend
         sign: complex = 1.0
         logabs = 0.0
         for lb in self.leaf_buckets:
             lu3 = np.asarray(xb.to_host(lb.lu3))  # repro-lint: ignore[RL001] -- slogdet is host-side analysis: factors download once, reduce serially
             piv3 = np.asarray(lb.piv3)  # repro-lint: ignore[RL001] -- pivot metadata is host-resident by design
-            for j in range(lu3.shape[0]):
+            for j, m in enumerate(lb.gs.sizes):
+                if m == 0:
+                    continue  # retired by a patch; a fresh bucket holds the leaf
                 s, l = _lu_slogdet(lu3[j], piv3[j])
                 sign *= s
                 logabs += l
@@ -516,23 +523,6 @@ class SolvePlan:
 # ======================================================================
 # builders
 # ======================================================================
-def _leaf_plan_buckets(tree, pol):
-    """Bucket the leaves by size (pad-merged when the policy allows)."""
-    leaves = tree.leaves
-    shapes = [(leaf.size, leaf.size) for leaf in leaves]
-    if pol.pad_buckets:
-        return plan_batch_padded(shapes, pol.pad_max_waste).buckets
-    return plan_batch(shapes).buckets
-
-
-def _child_plan_buckets(children, r, pol):
-    """Bucket a level's child nodes by (node size, rank)."""
-    shapes = [(nd.size, r) for nd in children]
-    if pol.pad_buckets:
-        return plan_batch_padded(shapes, pol.pad_max_waste).buckets
-    return plan_batch(shapes).buckets
-
-
 def _assemble_k(xb, T_all, ngamma: int, r: int, dtype, pivot: bool):
     """The per-level reduced systems (equation (11)) as one ``(ngamma, 2r, 2r)``
     stack.  With ``pivot=False`` the paper's alternative formulation puts the
@@ -577,19 +567,14 @@ def build_factor_plan(
     leaves = tree.leaves
     leaf_buckets: List[_LeafBucket] = []
     with rec.context(level=tree.levels):
-        for bucket in _leaf_plan_buckets(tree, pol):
+        for bucket in plan_batch([(leaf.size, leaf.size) for leaf in leaves]).buckets:
             M = bucket.key[0]
             members = [leaves[i] for i in bucket.indices]
-            if any(leaf.size != M for leaf in members):
-                D3 = pad_identity_stack(
-                    xb, [data.Dbig[leaf.index] for leaf in members], M, dtype
-                )
-            else:
-                D3 = pack_stack(xb, [data.Dbig[leaf.index] for leaf in members], dtype)
+            D3 = pack_stack(xb, [data.Dbig[leaf.index] for leaf in members], dtype)
             gs = GatherScatter.from_ranges(
                 [(leaf.start, leaf.stop) for leaf in members], M
             )
-            lu3, piv3 = _getrf_packed(xb, pol, D3, pivot=True)
+            lu3, piv3 = _getrf_packed(xb, pol, D3, pivot=True, level=tree.levels, nodes=members)
             if Ybig.shape[1]:
                 sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Ybig), pivot=True)
                 gs.put(Ybig, sol3)
@@ -617,7 +602,7 @@ def build_factor_plan(
             T_all = xb.zeros((nchild, r, r), dtype=dtype)
 
             buckets: List[_SweepBucket] = []
-            for b in _child_plan_buckets(children, r, pol):
+            for b in plan_batch([(nd.size, r) for nd in children]).buckets:
                 M = b.key[0]
                 members = [children[i] for i in b.indices]
                 gs = GatherScatter.from_ranges(
@@ -632,7 +617,7 @@ def build_factor_plan(
 
             # lines 7-8: assemble and LU-factorize the K systems
             K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-            k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot)
+            k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot, level=level, nodes=gammas)
             sweeps.append(
                 _LevelSweep(
                     level=level,
@@ -811,8 +796,7 @@ def patch_factor_plan(
 
     # ---- leaves.  Final bucket structure follows the new tree; fresh getrf
     # only for buckets containing dirty leaves, clean members reuse the old
-    # per-leaf factors (identity-border padding is exact, so re-padding the
-    # sliced views into a new bucket layout reproduces the factor).
+    # per-leaf factors.
     old_views = plan.leaf_lu_views()
     leaves = new_tree.leaves
     leaf_buckets: List[_LeafBucket] = []
@@ -855,10 +839,8 @@ def patch_factor_plan(
             sel = [dirty_leaf_pos[j] for j in b.indices]
             mem = [leaves[i] for i in sel]
             M = b.key[0]
-            D3d = pad_identity_stack(
-                xb, [xb.asarray(data.Dbig[lf.index]) for lf in mem], M, dtype
-            )
-            lud3, pivd3 = _getrf_packed(xb, pol, D3d, pivot=True)
+            D3d = pack_stack(xb, [xb.asarray(data.Dbig[lf.index]) for lf in mem], dtype)
+            lud3, pivd3 = _getrf_packed(xb, pol, D3d, pivot=True, level=L, nodes=mem)
             gsd = GatherScatter.from_ranges(
                 [(lf.start, lf.stop) for lf in mem], M
             )
@@ -889,7 +871,8 @@ def patch_factor_plan(
             )
 
         # clean leaves under a dirty ancestor at level p re-solve the invalid
-        # column prefix [0, coff[p]) against their stored LU, grouped by p
+        # column prefix [0, coff[p]) against their stored LU, grouped by p;
+        # a group may mix leaf sizes, so it packs identity-bordered
         prefix_groups: Dict[int, List[int]] = {}
         for pidx, lf in enumerate(leaves):
             if lf.index in dirty:
@@ -987,13 +970,14 @@ def patch_factor_plan(
                     K_sub = _assemble_k(
                         xb, T_all[cpos], int(d_gpos.size), r, dtype, pivot
                     )
-                    lu_s, piv_s = _getrf_packed(xb, pol, K_sub, pivot=pivot)
+                    lu_s, piv_s = _getrf_packed(xb, pol, K_sub, pivot=pivot, level=level,
+                                                nodes=[gammas[g] for g in d_gpos])
                     k_lu3[d_gpos] = lu_s.astype(k_lu3.dtype, copy=False)
                     k_piv3[d_gpos] = piv_s
                     stats["k_refactored"] += int(d_gpos.size)
             else:
                 K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-                k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot)
+                k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot, level=level, nodes=gammas)
                 stats["k_refactored"] += len(gammas)
 
             # coarse-update replay: gammas grouped by the deepest dirty
@@ -1090,7 +1074,7 @@ def patch_factor_plan(
                         )
                     )
             else:
-                for b in _child_plan_buckets(children, r, pol):
+                for b in plan_batch([(nd.size, r) for nd in children]).buckets:
                     M = b.key[0]
                     mem = [children[i] for i in b.indices]
                     gsb = GatherScatter.from_ranges(

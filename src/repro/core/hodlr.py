@@ -24,8 +24,9 @@ Construction paths
   *level-major*: ``svd``/``randomized`` gather each shape bucket of a
   tree level with one multi-block ``entries_blocks`` evaluation (when the
   source supports it) and compress it through the batched kernels;
-  ``rook`` runs one lockstep cross approximation per bucket.
-  ``construction="loop"`` is the node-major per-block baseline.
+  ``rook`` runs one lockstep cross approximation per bucket.  A bare
+  ``entries`` callable (no gather evaluator) runs the same schedule one
+  block per call.
 
 Application paths
 -----------------
@@ -50,7 +51,6 @@ from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
     BlockEvaluator,
     CompressionConfig,
-    compress_block,
     compress_block_stack,
     lift_gather,
     rook_pivot_compress_blocks,
@@ -431,13 +431,13 @@ def build_hodlr(
         Compression options; individual keyword overrides (``tol``,
         ``method``, ``max_rank``) take precedence over the config fields.
         ``config.construction`` selects the level-major batched schedule
-        (default) or the node-major per-block loop.
+        (default) or matvec-only randomized peeling.
     dtype:
         Storage dtype; defaults to the dtype produced by the evaluator,
         then filtered through the context's precision policy.
     context:
         The :class:`~repro.backends.context.ExecutionContext` the batched
-        construction runs on — backend, bucketing policy, and storage
+        construction runs on — backend, dispatch policy, and storage
         precision in one object.  A device-resident context keeps the
         gathered blocks and compressed bases on the device.  The legacy
         ``backend=``/``dispatch_policy=`` pair is still accepted and is
@@ -453,9 +453,9 @@ def build_hodlr(
             max_rank=max_rank if max_rank is not None else config.max_rank,
             method=method if method is not None else config.method,
         )
-    if config.construction not in ("batched", "loop", "peeling"):
+    if config.construction not in ("batched", "peeling"):
         raise ValueError(
-            "construction must be 'batched', 'loop', or 'peeling', got "
+            "construction must be 'batched' or 'peeling', got "
             f"{config.construction!r}"
         )
     if config.construction == "peeling":
@@ -491,6 +491,13 @@ def build_hodlr(
             raise ValueError(
                 f"dense source has shape {source.shape}, expected {(tree.n, tree.n)}"
             )
+        # the whole matrix is in memory: one pass finds bad entries that a
+        # compressor would otherwise choke on (svd) or never sample (rook).
+        # A finite sum proves every entry finite without a boolean temporary.
+        if isinstance(source, np.ndarray) and not np.isfinite(source.sum()):
+            bad = np.argwhere(~np.isfinite(source))
+            if bad.size:
+                raise _non_finite_entry_error(tree, *bad[0])
         evaluator, multi = _resolve_evaluator(_DenseEvaluator(source))
         if dtype is None:
             dtype = source.dtype
@@ -501,46 +508,37 @@ def build_hodlr(
             dtype = getattr(probe, "dtype", None) or np.asarray(probe).dtype
 
     dtype = context.storage_dtype(dtype)
-    if config.construction == "loop":
-        return _build_hodlr_loop(evaluator, tree, config, dtype)
     if not _probe_multi(multi, tree.leaves[0].indices):
         multi = None
     return _build_hodlr_batched(evaluator, multi, tree, config, dtype, context)
 
 
-def _build_hodlr_loop(evaluator, tree, config, dtype) -> HODLRMatrix:
-    """Node-major per-block construction (the seed schedule, kept as the
-    ``construction="loop"`` baseline and measured against by the benchmarks)."""
-    diag: Dict[int, np.ndarray] = {}
-    U: Dict[int, np.ndarray] = {}
-    V: Dict[int, np.ndarray] = {}
+def _non_finite_error(level: int, node: TreeNode) -> ValueError:
+    """The error naming the off-diagonal block (``node``'s rows) holding a
+    NaN or an infinity, in the words of the rook path's check."""
+    return ValueError(
+        f"level {level}: non-finite entries in the block at rows {node.start}:{node.stop}"
+    )
 
-    # dense diagonal blocks at the leaves
-    for leaf in tree.leaves:
-        rows = leaf.indices
-        diag[leaf.index] = np.asarray(evaluator(rows, rows), dtype=dtype)
 
-    # low-rank off-diagonal blocks for every sibling pair
+def _scan_stack(stack, nodes: List[TreeNode], level: int) -> None:
+    """Raise if a gathered stack holds a NaN or an infinity, naming its block."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not bool(finite.all()):
+        raise _non_finite_error(level, nodes[int(np.argmin(finite))])
+
+
+def _non_finite_entry_error(tree: ClusterTree, i: int, j: int) -> ValueError:
+    """The error for a bad entry ``(i, j)`` of a dense source."""
+    node = tree.root
     for level in range(1, tree.levels + 1):
-        for left, right in tree.sibling_pairs(level):
-            rows_l, rows_r = left.indices, right.indices
-
-            def block_lr(r, c, _rl=rows_l, _rr=rows_r):
-                return evaluator(_rl[r], _rr[c])
-
-            def block_rl(r, c, _rl=rows_l, _rr=rows_r):
-                return evaluator(_rr[r], _rl[c])
-
-            lr = compress_block(block_lr, left.size, right.size, config, dtype=dtype)
-            rl = compress_block(block_rl, right.size, left.size, config, dtype=dtype)
-            # A(I_left, I_right) = U_left V_right^*    => U_left = lr.U, V_right = lr.V
-            # A(I_right, I_left) = U_right V_left^*    => U_right = rl.U, V_left = rl.V
-            U[left.index] = lr.U
-            V[right.index] = lr.V
-            U[right.index] = rl.U
-            V[left.index] = rl.V
-
-    return HODLRMatrix(tree=tree, diag=diag, U=U, V=V)
+        node = next(nd for nd in tree.level_nodes(level) if nd.start <= i < nd.stop)
+        if not node.start <= j < node.stop:
+            return _non_finite_error(level, node)
+    return ValueError(
+        f"non-finite entries in the leaf diagonal block at level {tree.levels}, "
+        f"rows {node.start}:{node.stop}"
+    )
 
 
 def _build_hodlr_batched(
@@ -609,7 +607,15 @@ def _build_hodlr_batched(
             for chunk, stack in _gather_chunks(
                 evaluator, multi, row_sets, col_sets, dtype, xb
             ):
-                compressed = compress_block_stack(stack, config, context=context, rng=rng)
+                # scan the stack only once its compressor failed, so the
+                # success path never pays for it
+                try:
+                    compressed = compress_block_stack(stack, config, context=context, rng=rng)
+                except np.linalg.LinAlgError:
+                    _scan_stack(stack, [row_nodes[i] for i in chunk], level)
+                    raise
+                if not all(np.isfinite(f.U).all() and np.isfinite(f.V).all() for f in compressed):
+                    _scan_stack(stack, [row_nodes[i] for i in chunk], level)
                 for i, f in zip(chunk, compressed):
                     factors[i] = f
 

@@ -13,8 +13,9 @@ The packing mechanics they share live here:
   matching complex dtype);
 * :class:`GatherScatter` — vectorised row gather/scatter between a big
   ``(n, k)`` array and a bucket's ``(nb, M, k)`` strided view, with an
-  optional validity mask for buckets whose members were padded to a shared
-  size (``DispatchPolicy(pad_buckets=True)``).
+  optional validity mask for members shorter than the bucket width: the
+  factor plan's patch path packs clean leaves of mixed sizes under one
+  dirty ancestor together, and masks out members whose rows it retired.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class GatherScatter:
     """Vectorised row gather/scatter for one shape bucket.
 
     ``idx`` is the ``(nb, M)`` array of row indices of each member.  When a
-    bucket merges members of *different* sizes (pad-to-bucket packing),
-    ``mask`` marks the valid rows: gathers zero the padded rows and
+    bucket holds members of *different* sizes (the patch path's mixed-size
+    leaf groups and retired members), ``mask`` marks the valid rows: gathers zero the padded rows and
     scatters write only the valid ones (padded ``idx`` slots alias row 0
     and must never be written — an unmasked fancy scatter would collide).
     """

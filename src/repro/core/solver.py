@@ -22,9 +22,9 @@ Instantiating it directly remains supported for low-level work
 
 Variants
 --------
-``"batched"`` (default), alias ``"flat"``
-    The paper's Algorithms 1/2 ("flat") and 3/4 ("batched") are one
-    computation with two schedules, and both run as the compiled plan:
+``"batched"`` (default)
+    The paper's Algorithms 1/2 (the flat form) and 3/4 (the batched form)
+    are one computation with two schedules, and it runs as the compiled plan:
     :meth:`HODLRSolver.factorize` packs the matrix into
     :class:`~repro.core.bigdata.BigMatrices` and factorizes it with
     :func:`~repro.core.factor_plan.build_factor_plan` (one
@@ -58,8 +58,8 @@ from .bigdata import BigMatrices
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
 from .hodlr import HODLRMatrix
 
-#: the built-in variants: two names for the one compiled-plan engine
-_VARIANTS = ("flat", "batched")
+#: the built-in variant: the one compiled-plan engine
+_VARIANTS = ("batched",)
 
 #: registered non-builtin variants: ``factory(hodlr, solver) -> impl`` where
 #: ``impl`` provides at least ``solve(b)`` (``slogdet``/``logdet``/
@@ -132,7 +132,7 @@ class HODLRSolver:
     hodlr:
         The HODLR approximation of the coefficient matrix.
     variant:
-        ``"batched"`` (default) or its alias ``"flat"``, or the name of a
+        ``"batched"`` (default, the compiled plan), or the name of a
         registered variant (see :func:`available_solver_variants`).
     dtype:
         Optional dtype override; ``np.float32`` reproduces the paper's
@@ -148,7 +148,7 @@ class HODLRSolver:
     dispatch_policy:
         Shape-bucketing policy for the batched primitives; see
         :class:`~repro.backends.dispatch.DispatchPolicy`.  ``None`` uses the
-        default (bucketing enabled).
+        default crossovers.
     context:
         An :class:`~repro.backends.context.ExecutionContext` carrying the
         backend, dispatch policy, and precision in one object — the

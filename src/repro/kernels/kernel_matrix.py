@@ -243,7 +243,7 @@ class KernelMatrix:
         ``reorder=False`` the natural point order is used (appropriate when
         the points already follow a space-filling order, e.g. a contour).
         ``construction="batched"`` (default) builds level-major through the
-        batched kernels; ``"loop"`` is the per-block baseline.
+        batched kernels; ``"peeling"`` builds from matvecs alone.
 
         ``context`` selects where construction runs: a device-resident
         :class:`~repro.backends.context.ExecutionContext` moves the points

@@ -210,14 +210,21 @@ class TestLockstepMatchesSingleBlock:
         np.testing.assert_allclose(H_bare.matvec(x), H_km.matvec(x), rtol=1e-12, atol=1e-12)
 
     def test_batched_build_matches_loop_build(self):
+        """Every block of the level-batched build equals the one-block call
+        of the lockstep kernel on that block alone."""
         km, tree = gaussian_km(1024)
-        cfg = CompressionConfig(tol=1e-10, method="rook")
-        Hb = build_hodlr(km, tree, config=cfg)
-        Hl = build_hodlr(km, tree, config=CompressionConfig(
-            tol=1e-10, method="rook", construction="loop"))
-        assert Hb.rank_profile() == Hl.rank_profile()
-        x = np.random.default_rng(5).standard_normal(1024)
-        np.testing.assert_allclose(Hb.matvec(x), Hl.matvec(x), rtol=1e-12, atol=1e-12)
+        Hb = build_hodlr(km, tree, config=CompressionConfig(tol=1e-10, method="rook"))
+        for level in range(1, tree.levels + 1):
+            for left, right in tree.sibling_pairs(level):
+                for a, b in ((left, right), (right, left)):
+                    f = rook_pivot_compress_blocks(
+                        km.entries_blocks, a.indices[None], b.indices[None], tol=1e-10
+                    )[0]
+                    assert Hb.U[a.index].shape[1] == f.rank
+                    np.testing.assert_allclose(
+                        Hb.U[a.index] @ Hb.V[b.index].conj().T, f.to_dense(),
+                        rtol=1e-12, atol=1e-12,
+                    )
 
 
 class TestMatchesScalarReference:
@@ -293,6 +300,47 @@ class TestNonFinite:
         where = "level 1: non-finite entries in the block at rows 0:128"
         with pytest.raises(ValueError, match=where):
             build_hodlr(A, tree, tol=1e-10, method="rook")
+
+    @staticmethod
+    def _dense_with_inf(n=512):
+        km, _ = gaussian_km(n)
+        A = km.entries(np.arange(n), np.arange(n))
+        A[3, 400] = np.inf  # inside the level-1 block A(0:256, 256:512)
+        return A, ClusterTree.balanced(n, leaf_size=64)
+
+    @pytest.mark.parametrize("method", ["svd", "randomized", "rook"])
+    def test_non_finite_dense_source_raises(self, method):
+        """A dense source is scanned once, so every compressor fails fast —
+        rook included, although its cross approximation might never sample
+        the bad entry."""
+        A, tree = self._dense_with_inf()
+        where = "level 1: non-finite entries in the block at rows 0:256"
+        with pytest.raises(ValueError, match=where):
+            build_hodlr(A, tree, tol=1e-9, method=method)
+        from repro.api import CompressionConfig as ApiCompressionConfig, SolverConfig
+
+        config = SolverConfig(compression=ApiCompressionConfig(method=method))
+        with pytest.raises(ValueError, match="non-finite"):
+            repro.solve(A, np.ones(A.shape[0]), config=config)
+
+    @pytest.mark.parametrize("method", ["svd", "randomized"])
+    @pytest.mark.parametrize("gather", [False, True])
+    def test_non_finite_evaluator_block_raises(self, method, gather):
+        """A failing stack compressor triggers a scan that names the block
+        instead of surfacing LAPACK's convergence error."""
+        A, tree = self._dense_with_inf()
+
+        class Source:
+            def entries(self, rows, cols):
+                return A[np.ix_(rows, cols)]
+
+            if gather:
+                def entries_blocks(self, rows, cols):
+                    return A[rows[:, :, None], cols[:, None, :]]
+
+        where = "level 1: non-finite entries in the block at rows 0:256"
+        with pytest.raises(ValueError, match=where):
+            build_hodlr(Source(), tree, tol=1e-9, method=method)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_solve_rejects_non_finite_rhs(self, bad):

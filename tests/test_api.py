@@ -138,16 +138,16 @@ class TestSolverConfig:
 
     def test_round_trip_including_policy_and_compression(self):
         cfg = SolverConfig(
-            variant="flat",
+            variant="recursive",
             dtype="float32",
             pivot=False,
-            dispatch_policy=DispatchPolicy(bucketing=False, min_bucket=3),
+            dispatch_policy=DispatchPolicy(lu_solve_max_n=16, min_bucket=3),
             compression=CompressionConfig(tol=1e-5, method="svd"),
         )
         d = json.loads(json.dumps(cfg.to_dict()))
         restored = SolverConfig.from_dict(d)
         assert restored == cfg
-        assert restored.dispatch_policy == DispatchPolicy(bucketing=False, min_bucket=3)
+        assert restored.dispatch_policy == DispatchPolicy(lu_solve_max_n=16, min_bucket=3)
 
     def test_round_trip_defaults(self):
         cfg = SolverConfig()
@@ -159,6 +159,19 @@ class TestSolverConfig:
         data["stream_cutoff"] = 4
         with pytest.raises(ConfigError, match="stream_cutoff"):
             SolverConfig.from_dict(data)
+
+    def test_removed_dispatch_options_fail_loudly(self):
+        valid = r"valid fields: \['min_bucket'"
+        with pytest.raises(ConfigError, match=r"'flat'"):
+            SolverConfig(variant="flat")
+        with pytest.raises(TypeError, match=valid):
+            DispatchPolicy(pad_buckets=True)
+        for key in ("bucketing", "lu_vectorize", "pad_buckets", "pad_max_waste"):
+            data = SolverConfig(dispatch_policy=DispatchPolicy()).to_dict()
+            assert key not in data["dispatch_policy"]
+            data["dispatch_policy"][key] = True
+            with pytest.raises(ConfigError, match=valid):
+                SolverConfig.from_dict(data)
 
     def test_from_dict_rejects_removed_parallel(self):
         # parallel, tuning and residual_budget were all SolverConfig fields
@@ -173,7 +186,7 @@ class TestSolverConfig:
     def test_replace_reaches_compression_fields(self):
         cfg = SolverConfig()
         assert cfg.replace(tol=1e-3).compression.tol == 1e-3
-        assert cfg.replace(variant="flat").variant == "flat"
+        assert cfg.replace(variant="recursive").variant == "recursive"
         with pytest.raises(ConfigError):
             cfg.replace(no_such_field=1)
 
@@ -185,7 +198,7 @@ class TestSolverConfig:
             cfg.replace(compression=CompressionConfig(tol=1e-3), tol=1e-6)
 
     def test_hashable(self):
-        assert len({SolverConfig(), SolverConfig(), SolverConfig(variant="flat")}) == 2
+        assert len({SolverConfig(), SolverConfig(), SolverConfig(variant="recursive")}) == 2
 
 
 # ======================================================================
@@ -342,8 +355,8 @@ class TestHODLROperator:
 
     def test_config_overrides(self, system):
         _, H, _ = system
-        op = HODLROperator(H, variant="flat", pivot=False)
-        assert op.config.variant == "flat" and op.config.pivot is False
+        op = HODLROperator(H, variant="recursive", pivot=False)
+        assert op.config.variant == "recursive" and op.config.pivot is False
 
 
 # ======================================================================

@@ -1,8 +1,9 @@
 """Batched level-parallel construction + compiled apply plan (PR 3).
 
 Equivalence suite: the batched construction schedule and the compiled apply
-plan must match the per-block loop path to 1e-12 across all three
-factorization variants, complex dtypes, adaptive ranks, and
+plan must match one-block-per-call references to 1e-12 (a build from a bare
+``entries`` callable, per-block compressors, the tree-walking matvec) across
+both factorization variants, complex dtypes, adaptive ranks, and
 non-power-of-two N — plus counter tests asserting the launch count drops to
 O(levels x buckets).
 """
@@ -13,7 +14,7 @@ import pytest
 from repro.api import CompressionConfig as ApiCompressionConfig
 from repro.api import ConfigError, HODLROperator, SolverConfig
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import DEFAULT_POLICY, LOOP_POLICY
+from repro.backends.dispatch import DEFAULT_POLICY, DispatchPolicy
 from repro.core import (
     ClusterTree,
     HODLRSolver,
@@ -23,6 +24,7 @@ from repro.core.compression import (
     CompressionConfig,
     compress_blocks_batched,
     randomized_compress_batched,
+    svd_compress,
     svd_compress_batched,
 )
 from repro.kernels import GaussianKernel, KernelMatrix
@@ -38,14 +40,11 @@ def smooth_matrix(n, rng, complex_dtype=False, lengthscale=0.5):
 
 
 def build_both(A, tree, method, tol=1e-12, max_rank=None):
-    Hb = build_hodlr(
-        A, tree, config=CompressionConfig(tol=tol, max_rank=max_rank, method=method,
-                                          construction="batched")
-    )
-    Hl = build_hodlr(
-        A, tree, config=CompressionConfig(tol=tol, max_rank=max_rank, method=method,
-                                          construction="loop")
-    )
+    """The gathered build of ``A`` and the build from a bare ``entries``
+    callable, which evaluates one block per call."""
+    config = CompressionConfig(tol=tol, max_rank=max_rank, method=method)
+    Hb = build_hodlr(A, tree, config=config)
+    Hl = build_hodlr(lambda r, c: A[np.ix_(r, c)], tree, config=config)
     return Hb, Hl
 
 
@@ -99,16 +98,16 @@ class TestBatchedConstructionEquivalence:
 
     def test_kernel_matrix_gather_path(self):
         # KernelMatrix exposes entries_blocks: the whole level is evaluated in
-        # one vectorized kernel call; results must match the loop build
+        # one vectorized kernel call; results must match the build from a
+        # bare entries callable (one block per call) over the same tree
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.0, 1.0, (400, 2))
         km = KernelMatrix(kernel=GaussianKernel(lengthscale=0.4), points=pts,
                           diagonal_shift=0.1)
         Hb, permb = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
                                 construction="batched")
-        Hl, perml = km.to_hodlr(leaf_size=32, tol=1e-12, method="randomized",
-                                construction="loop")
-        assert np.array_equal(permb, perml)
+        Hl = build_hodlr(lambda r, c: km.entries(permb[r], permb[c]), Hb.tree,
+                         config=CompressionConfig(tol=1e-12, method="randomized"))
         dense = km.entries(permb, permb)[np.ix_(np.arange(400), np.arange(400))]
         scale = np.linalg.norm(dense)
         assert np.linalg.norm(Hb.to_dense() - dense) <= 1e-10 * scale
@@ -136,7 +135,7 @@ class TestBatchedConstructionEquivalence:
         with pytest.raises(ValueError, match="construction"):
             build_hodlr(A, tree, config=CompressionConfig(construction="turbo"))
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_solve_equivalence_across_variants(self, variant):
         rng = np.random.default_rng(7)
         A = smooth_matrix(256, rng)
@@ -179,11 +178,12 @@ class TestBatchedCompressors:
             assert f.error_vs(blk) <= 1e-9 * np.linalg.norm(blk)
 
     def test_loop_policy_reproduces_per_block_path(self):
+        """The batched SVD stack matches per-block ``svd_compress``."""
         rng = np.random.default_rng(2)
         blocks = self._blocks(rng, [(16, 16)] * 4, rank=3)
         cfg = CompressionConfig(tol=1e-12, method="svd")
         batched = compress_blocks_batched(blocks, cfg, policy=DEFAULT_POLICY)
-        looped = compress_blocks_batched(blocks, cfg, policy=LOOP_POLICY)
+        looped = [svd_compress(blk, tol=1e-12) for blk in blocks]
         for fb, fl, blk in zip(batched, looped, blocks):
             scale = np.linalg.norm(blk)
             assert np.linalg.norm(fb.to_dense() - fl.to_dense()) <= 1e-12 * scale
@@ -349,13 +349,6 @@ class TestLaunchCounters:
         # fixed-rank randomized: sample gemm + qr + project gemm + svd per
         # bucket per level (no straggler rounds)
         assert trace_rand.num_kernel_launches == 4 * tree.levels
-        # the loop path records no batched kernels at all (pure per-block numpy)
-        with rec.recording() as trace_loop:
-            build_hodlr(
-                A, tree,
-                config=CompressionConfig(tol=1e-10, method="svd", construction="loop"),
-            )
-        assert trace_loop.num_kernel_launches == 0
 
 
 # ======================================================================
@@ -458,7 +451,7 @@ class TestKernelMatrixEntries:
 
 
 # ======================================================================
-# flat variant on the batched kernels
+# the compiled plan on the batched kernels
 # ======================================================================
 class TestFlatBatchedLU:
     def test_policy_equivalence(self):
@@ -468,8 +461,8 @@ class TestFlatBatchedLU:
         # vectorised batched LU crossover actually engages
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(256)
-        x_def = HODLRSolver(H, variant="flat", dispatch_policy=DEFAULT_POLICY).factorize().solve(b)
-        x_loop = HODLRSolver(H, variant="flat", dispatch_policy=LOOP_POLICY).factorize().solve(b)
+        x_def = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize().solve(b)
+        x_loop = HODLRSolver(H, variant="recursive").factorize().solve(b)
         assert np.linalg.norm(x_def - x_loop) <= 1e-12 * np.linalg.norm(x_loop)
         assert np.linalg.norm(A @ x_def - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -479,10 +472,11 @@ class TestFlatBatchedLU:
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(128)
-        s1 = HODLRSolver(H, variant="flat", dispatch_policy=LOOP_POLICY).factorize()
-        s2 = HODLRSolver(H, variant="flat").factorize()
-        assert s1.factor_plan.context.policy.bucketing is False
-        assert s2.factor_plan.context.policy.bucketing is True
+        policy = DispatchPolicy(lu_factor_min_batch=2, lu_factor_max_n=4096)
+        s1 = HODLRSolver(H, dispatch_policy=policy).factorize()
+        s2 = HODLRSolver(H).factorize()
+        assert s1.factor_plan.context.policy is policy
+        assert s2.factor_plan.context.policy == DEFAULT_POLICY
         assert np.linalg.norm(s1.solve(b) - s2.solve(b)) <= 1e-12 * np.linalg.norm(b)
 
     def test_slogdet_unchanged(self):
@@ -491,7 +485,7 @@ class TestFlatBatchedLU:
         A = A @ A.T + 128 * np.eye(128)  # SPD: well-defined logdet
         tree = ClusterTree.balanced(128, leaf_size=16)
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        fac = HODLRSolver(H, variant="flat").factorize()
+        fac = HODLRSolver(H).factorize()
         _, expected = np.linalg.slogdet(A)
         assert abs(fac.logdet() - expected) <= 1e-6 * abs(expected)
 
@@ -501,14 +495,17 @@ class TestFlatBatchedLU:
 # ======================================================================
 class TestConstructionConfig:
     def test_round_trip(self):
-        cfg = SolverConfig(compression=ApiCompressionConfig(construction="loop"))
+        cfg = SolverConfig(compression=ApiCompressionConfig(construction="peeling"))
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.compression.core_config().construction == "loop"
+        assert cfg.compression.core_config().construction == "peeling"
         assert ApiCompressionConfig().construction == "batched"
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="construction"):
             ApiCompressionConfig(construction="nope")
+        # the removed per-block schedule fails loudly, naming the valid ones
+        with pytest.raises(ConfigError, match=r"\('batched', 'peeling'\)"):
+            ApiCompressionConfig(construction="loop")
 
     def test_facade_solves_agree(self):
         import repro
@@ -522,11 +519,9 @@ class TestConstructionConfig:
                 tol=1e-10, method="randomized", construction="batched")),
             **kwargs,
         )
-        res_l = repro.solve(
-            "gaussian_kernel", b,
-            config=SolverConfig(compression=ApiCompressionConfig(
-                tol=1e-10, method="randomized", construction="loop")),
-            **kwargs,
-        )
+        # the dense reference solve in the caller's ordering
+        km = repro.get_problem("gaussian_kernel", **kwargs).assemble(
+            SolverConfig()).metadata["kernel_matrix"]
+        x_ref = np.linalg.solve(km.entries(np.arange(512), np.arange(512)), b)
         assert res_b.relative_residual <= 1e-8
-        assert np.linalg.norm(res_b.x - res_l.x) <= 1e-6 * np.linalg.norm(res_l.x)
+        assert np.linalg.norm(res_b.x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)

@@ -40,10 +40,7 @@ from repro.backends.dispatch import (
     _lu_solve_batch,
     lu_factor_nopivot,
     lu_solve_nopivot,
-    plan_batch_padded,
 )
-from repro.backends.batched import gemm_batched
-from repro.backends.counters import get_recorder
 
 
 # ======================================================================
@@ -309,9 +306,9 @@ class TestContextBasics:
         # particular) is preserved instead of raising or being dropped
         base = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
         merged = resolve_context(
-            context=base, policy=DispatchPolicy(bucketing=False)
+            context=base, policy=DispatchPolicy(min_bucket=5)
         )
-        assert not merged.policy.bucketing
+        assert merged.policy.min_bucket == 5
         assert merged.precision.storage == "float32"
         assert merged.backend is base.backend
         # no overrides -> the context object itself comes back
@@ -336,12 +333,12 @@ class TestContextBasics:
     def test_solver_config_round_trip_with_precision(self):
         cfg = SolverConfig(
             precision=PrecisionPolicy(plan="float32", plan_min_level=2, refine=True),
-            dispatch_policy=DispatchPolicy(pad_buckets=True, pad_max_waste=0.3),
+            dispatch_policy=DispatchPolicy(min_bucket=3, gemm_pack_max_elements=512),
         )
         restored = SolverConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         assert restored.precision.refine is True
-        assert restored.dispatch_policy.pad_buckets is True
+        assert restored.dispatch_policy.gemm_pack_max_elements == 512
 
     def test_dtype_precision_conflict_rejected(self):
         with pytest.raises(ConfigError):
@@ -527,108 +524,15 @@ class TestRefinement:
 
 
 # ======================================================================
-# pad-to-bucket packing
-# ======================================================================
-class TestPadToBucket:
-    def test_planner_merges_near_equal_shapes(self):
-        shapes = [(16, 16), (15, 16), (16, 15), (4, 4)]
-        plan = plan_batch_padded(shapes, max_waste=0.25)
-        # three near-equal shapes merge under target (16, 16); (4, 4) stays
-        assert plan.num_buckets == 2
-        big = next(b for b in plan.buckets if b.key == (16, 16))
-        assert sorted(big.indices) == [0, 1, 2]
-
-    def test_planner_zero_waste_is_exact_plan(self):
-        shapes = [(8, 8), (7, 8), (8, 8)]
-        plan = plan_batch_padded(shapes, max_waste=0.0)
-        assert plan.num_buckets == 2
-
-    def test_planner_respects_waste_budget(self):
-        # (8, 8) into (16, 16) would waste 75% — must not merge at 25%
-        plan = plan_batch_padded([(16, 16), (8, 8)], max_waste=0.25)
-        assert plan.num_buckets == 2
-
-    def test_gemm_padded_equivalence_and_fewer_launches(self):
-        rng = np.random.default_rng(11)
-        # singleton-shape regime: ranks differ by a column or two per block
-        A = [rng.standard_normal((20, 10 + (i % 3))) for i in range(24)]
-        B = [rng.standard_normal((A[i].shape[1], 5)) for i in range(24)]
-        rec = get_recorder()
-
-        with rec.recording() as tr_plain:
-            ref = gemm_batched(A, B)
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        with rec.recording() as tr_pad:
-            out = gemm_batched(A, B, policy=pad_policy)
-
-        for o, r in zip(out, ref):
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-        assert tr_pad.events[-1].buckets < tr_plain.events[-1].buckets
-        assert tr_pad.events[-1].buckets == 1
-
-    def test_gemm_padded_transpose_conjugate_and_beta(self):
-        rng = np.random.default_rng(13)
-        A = [
-            (rng.standard_normal((9 + (i % 2), 12)) + 1j * rng.standard_normal((9 + (i % 2), 12)))
-            for i in range(8)
-        ]
-        B = [rng.standard_normal((A[i].shape[0], 3)) for i in range(8)]
-        C = [rng.standard_normal((12, 3)) for _ in range(8)]
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        ref = gemm_batched(A, B, C, alpha=2.0, beta=0.5, conjugate_a=True)
-        out = gemm_batched(A, B, C, alpha=2.0, beta=0.5, conjugate_a=True, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-
-    def test_gemm_padded_mixed_ndim_rhs_and_c(self):
-        # a merged bucket mixing (m,) and (m, 1) B/C operands: the padded
-        # planner's dim keys erase the ndim distinction the exact path keeps
-        rng = np.random.default_rng(31)
-        A = [rng.standard_normal((6, 4)) for _ in range(4)]
-        B = [rng.standard_normal(4) if i % 2 else rng.standard_normal((4, 1))
-             for i in range(4)]
-        C = [rng.standard_normal(6) if i % 2 else rng.standard_normal((6, 1))
-             for i in range(4)]
-        pad_policy = DispatchPolicy(pad_buckets=True)
-        ref = gemm_batched(A, B, C, beta=2.0)
-        out = gemm_batched(A, B, C, beta=2.0, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert o.shape == r.shape
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-
-    def test_gemm_padded_vector_rhs(self):
-        rng = np.random.default_rng(17)
-        A = [rng.standard_normal((8, 6 + (i % 2))) for i in range(10)]
-        B = [rng.standard_normal(A[i].shape[1]) for i in range(10)]
-        pad_policy = DispatchPolicy(pad_buckets=True)
-        ref = gemm_batched(A, B)
-        out = gemm_batched(A, B, policy=pad_policy)
-        for o, r in zip(out, ref):
-            assert o.shape == r.shape
-            assert np.allclose(o, r, rtol=0, atol=1e-12)
-
-    def test_factorization_with_padding_policy_matches_default(self):
-        H = _gaussian_hodlr(n=256, tol=1e-6)  # adaptive ranks → ragged shapes
-        b = np.random.default_rng(19).standard_normal(H.n)
-        x_ref = HODLRSolver(H, variant="flat").factorize().solve(b)
-        pad_policy = DispatchPolicy(pad_buckets=True, pad_max_waste=0.25)
-        x_pad = (
-            HODLRSolver(H, variant="flat", dispatch_policy=pad_policy)
-            .factorize()
-            .solve(b)
-        )
-        assert np.allclose(x_pad, x_ref, rtol=0, atol=1e-10)
-
-
-# ======================================================================
 # baseline solver variants through the facade
 # ======================================================================
 class TestBaselineVariants:
     def test_registry_lists_baselines(self):
         names = available_solver_variants()
-        for name in ("recursive", "flat", "batched", "dense_lu", "block_sparse",
+        for name in ("recursive", "batched", "dense_lu", "block_sparse",
                      "hodlrlib_cpu"):
             assert name in names
+        assert "flat" not in names  # the removed alias of "batched"
 
     @pytest.mark.parametrize("variant", ["dense_lu", "block_sparse", "hodlrlib_cpu"])
     def test_baseline_solve_through_facade(self, variant):

@@ -11,10 +11,9 @@ from repro.backends.batched import (
     getrf_batched,
     getrs_batched,
 )
-from repro.backends.counters import get_recorder
+from repro.backends.counters import gemm_flops, get_recorder
 from repro.backends.dispatch import (
     DEFAULT_POLICY,
-    LOOP_POLICY,
     BackendUnavailableError,
     BatchPlanner,
     DispatchPolicy,
@@ -100,7 +99,7 @@ class TestBucketedGemm:
         assert gemm_batched([], []) == []
 
     def test_heterogeneous_batch_bucketed_equivalence(self, rng):
-        """Bucketed execution matches the per-block loop to 1e-12."""
+        """Bucketed execution matches a per-block NumPy product to 1e-12."""
         A = (
             [rng.standard_normal((5, 7)) for _ in range(4)]
             + [rng.standard_normal((6, 2)) for _ in range(3)]
@@ -112,9 +111,8 @@ class TestBucketedGemm:
             + [rng.standard_normal((9, 1))]
         )
         bucketed = gemm_batched(A, B, policy=DEFAULT_POLICY)
-        looped = gemm_batched(A, B, policy=LOOP_POLICY)
-        for xb_out, loop_out in zip(bucketed, looped):
-            np.testing.assert_allclose(xb_out, loop_out, rtol=1e-12, atol=1e-12)
+        for xb_out, a, b in zip(bucketed, A, B):
+            np.testing.assert_allclose(xb_out, a @ b, rtol=1e-12, atol=1e-12)
 
     def test_alpha_beta_bucketed(self, rng):
         A = [rng.standard_normal((4, 4)) for _ in range(3)]
@@ -153,26 +151,17 @@ class TestBucketedGemm:
         assert trace.num_kernel_launches == 2
         assert trace.num_bucketed_launches == 2
 
-    def test_loop_policy_records_seed_event(self, rng):
-        rec = get_recorder()
-        A = [rng.standard_normal((3, 3))] * 4
-        B = [rng.standard_normal((3, 2))] * 4
-        with rec.recording() as trace:
-            gemm_batched(A, B, policy=LOOP_POLICY)
-        (event,) = trace.events
-        assert not event.strided
-        assert event.buckets == 1
-
     def test_flops_match_between_policies(self, rng):
+        """Per-bucket accounting equals the per-block gemm totals."""
         rec = get_recorder()
         A = [rng.standard_normal((5, 7)) for _ in range(4)] + [rng.standard_normal((2, 3))]
         B = [rng.standard_normal((7, 3)) for _ in range(4)] + [rng.standard_normal((3, 1))]
         with rec.recording() as bucketed_trace:
             gemm_batched(A, B)
-        with rec.recording() as loop_trace:
-            gemm_batched(A, B, policy=LOOP_POLICY)
-        assert bucketed_trace.total_flops == pytest.approx(loop_trace.total_flops)
-        assert bucketed_trace.total_bytes == pytest.approx(loop_trace.total_bytes)
+        flops = sum(gemm_flops(a.shape[0], b.shape[1], b.shape[0], False) for a, b in zip(A, B))
+        nbytes = sum((a.size + b.size + a.shape[0] * b.shape[1]) * 8 for a, b in zip(A, B))
+        assert bucketed_trace.total_flops == pytest.approx(flops)
+        assert bucketed_trace.total_bytes == pytest.approx(nbytes)
 
 
 #: forces the vectorised batched LU kernels regardless of problem size, so
@@ -197,9 +186,11 @@ class TestBucketedLU:
 
     @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
     def test_bucketed_matches_per_block_loop_to_1e12(self, rng, policy):
+        from scipy import linalg as sla
+
         mats, rhs = self._mixed_problems(rng)
         fast = getrs_batched(getrf_batched(mats, policy=policy), rhs, policy=policy)
-        slow = getrs_batched(getrf_batched(mats, policy=LOOP_POLICY), rhs, policy=LOOP_POLICY)
+        slow = [sla.lu_solve(sla.lu_factor(A), b) for A, b in zip(mats, rhs)]
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -215,8 +206,7 @@ class TestBucketedLU:
         lu = getrf_batched(mats, pivot=False, policy=policy)
         assert not lu.pivot
         xs = getrs_batched(lu, rhs, policy=policy)
-        ref = getrs_batched(getrf_batched(mats, pivot=False, policy=LOOP_POLICY),
-                            rhs, policy=LOOP_POLICY)
+        ref = [np.linalg.solve(A, b) for A, b in zip(mats, rhs)]
         for a, b in zip(xs, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -243,11 +233,13 @@ class TestBucketedLU:
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
     def test_cross_policy_factors_interoperate(self, rng):
-        """Factors from the vectorised kernel plug into the per-block solve."""
+        """Factors from the vectorised kernel plug into SciPy's per-block solve."""
+        from scipy import linalg as sla
+
         mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(4)]
         rhs = [rng.standard_normal((6, 1)) for _ in range(4)]
         lu_fast = getrf_batched(mats, policy=VECTORIZE_ALWAYS)  # vectorised bucket
-        xs = getrs_batched(lu_fast, rhs, policy=LOOP_POLICY)  # scipy lu_solve
+        xs = [sla.lu_solve((lu, piv), b) for lu, piv, b in zip(lu_fast.lu, lu_fast.piv, rhs)]
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
@@ -307,7 +299,7 @@ class TestSolverThreading:
         tree = ClusterTree.balanced(n, leaf_size=32)
         return A, build_hodlr(A, tree, tol=1e-11, method="svd")
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_named_backend_accepted(self, small_hodlr, variant, rng):
         from repro import HODLRSolver
 
@@ -323,15 +315,16 @@ class TestSolverThreading:
         A, H = small_hodlr
         b = rng.standard_normal(A.shape[0])
         fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize()
-        slow = HODLRSolver(H, dispatch_policy=LOOP_POLICY).factorize()
-        np.testing.assert_allclose(fast.solve(b), slow.solve(b), rtol=1e-10, atol=1e-10)
+        forced = HODLRSolver(H, dispatch_policy=VECTORIZE_ALWAYS).factorize()
+        ref = HODLRSolver(H, variant="recursive").factorize().solve(b)
+        np.testing.assert_allclose(fast.solve(b), ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(forced.solve(b), ref, rtol=1e-10, atol=1e-10)
         # both compile the plan, each under its own policy
         assert fast.factor_plan.context.policy is DEFAULT_POLICY
-        assert slow.factor_plan.context.policy is LOOP_POLICY
-        fast_events = [e for e in fast.factor_trace.events if e.kernel == "getrf_batched"]
-        assert any(e.strided for e in fast_events)
-        slow_events = [e for e in slow.factor_trace.events if e.kernel == "getrf_batched"]
-        assert all(e.buckets == 1 for e in slow_events)
+        assert forced.factor_plan.context.policy is VECTORIZE_ALWAYS
+        for solver in (fast, forced):
+            events = [e for e in solver.factor_trace.events if e.kernel == "getrf_batched"]
+            assert events and all(e.strided for e in events)
 
     def test_bucketed_launches_counted_by_perfmodel(self, small_hodlr, rng):
         from repro import HODLRSolver, PerformanceModel
@@ -342,10 +335,12 @@ class TestSolverThreading:
         assert est.num_kernel_launches >= est.num_launches
 
     def test_batched_backend_policy_override(self, rng):
-        backend = BatchedBackend(policy=DispatchPolicy(bucketing=False))
+        policy = DispatchPolicy(gemm_pack_max_elements=0)  # never pack a bucket
+        backend = BatchedBackend(policy=policy)
+        assert backend.policy is policy
         rec = get_recorder()
         with rec.recording() as trace:
-            backend.gemm_batched([np.eye(3)] * 3, [np.eye(3)] * 3)
+            out = backend.gemm_batched([np.eye(3)] * 3, [2 * np.eye(3)] * 3)
+        np.testing.assert_array_equal(out[0], 2 * np.eye(3))
         assert trace.events[0].buckets == 1
-        assert not trace.events[0].strided
         assert backend.name == "numpy-batched"

@@ -33,7 +33,7 @@ class TestZeroRankOffDiagonals:
         packed = BigMatrices.from_hodlr(H)
         assert packed.total_rank_cols == 0
 
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_solve_block_diagonal(self, block_diag_problem, variant, rng):
         A, H = block_diag_problem
         solver = HODLRSolver(H, variant=variant).factorize()
@@ -43,7 +43,7 @@ class TestZeroRankOffDiagonals:
 
     def test_logdet_block_diagonal(self, block_diag_problem):
         A, H = block_diag_problem
-        solver = HODLRSolver(H, variant="flat").factorize()
+        solver = HODLRSolver(H).factorize()
         sign_ref, logdet_ref = np.linalg.slogdet(A)
         sign, logabs = solver.slogdet()
         assert logabs == pytest.approx(logdet_ref, rel=1e-9)
@@ -69,11 +69,10 @@ class TestPartiallyZeroLevels:
         H = build_hodlr(A, tree, tol=1e-10, method="svd")
         profile = H.rank_profile()
         assert profile[0] >= 2 and all(r == 0 for r in profile[1:])
-        for variant in ["flat", "batched"]:
-            fac = HODLRSolver(H, variant=variant).factorize()
-            b = rng.standard_normal(n)
-            x = fac.solve(b)
-            assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
+        fac = HODLRSolver(H).factorize()
+        b = rng.standard_normal(n)
+        x = fac.solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
 
 class TestMinimalTrees:
@@ -83,7 +82,7 @@ class TestMinimalTrees:
         A = hodlr_friendly_matrix(n, seed=40)
         tree = ClusterTree(n, levels=1)
         H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        for variant in ["recursive", "flat", "batched"]:
+        for variant in ["recursive", "batched"]:
             solver = HODLRSolver(H, variant=variant).factorize()
             b = rng.standard_normal(n)
             x = solver.solve(b)
@@ -114,7 +113,7 @@ class TestMinimalTrees:
 
 
 class TestIdentityAndDiagonalMatrices:
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_identity(self, variant, rng):
         n = 64
         tree = ClusterTree.balanced(n, leaf_size=16)
@@ -149,3 +148,23 @@ class TestMultipleSolvesReuseFactorization:
         x1 = solver.solve(b)
         x2 = solver.solve(b)
         np.testing.assert_array_equal(x1, x2)
+
+
+class TestSingularInput:
+    """An exactly singular pivot raises ``LinAlgError`` naming where it sits,
+    instead of returning a NaN solution."""
+
+    def test_zero_matrix_raises(self):
+        import repro
+
+        with pytest.raises(np.linalg.LinAlgError, match=r"level 3: zero or non-finite pivot"):
+            repro.solve(np.zeros((512, 512)), np.ones(512))
+
+    def test_singular_leaf_block_names_its_rows(self):
+        n = 256
+        A = hodlr_friendly_matrix(n, seed=42)
+        A[64:128, 64:128] = 0.0
+        tree = ClusterTree.balanced(n, leaf_size=64)
+        H = build_hodlr(A, tree, tol=1e-12, method="svd")
+        with pytest.raises(np.linalg.LinAlgError, match="level 2: .* at rows 64:128"):
+            HODLRSolver(H).factorize()

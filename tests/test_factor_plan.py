@@ -2,14 +2,15 @@
 
 Covers the acceptance criteria of the plan refactor:
 
-* plan-vs-reference equivalence to 1e-12: the compiled plan (under both
-  its names, ``"flat"`` and ``"batched"``) against the textbook recursion
+* plan-vs-reference equivalence to 1e-12: the compiled plan
+  (``"batched"``) against the textbook recursion
   of :class:`repro.baselines.RecursiveFactorization` (real/complex,
   adaptive ranks, non-power-of-two N);
 * launch-count assertions: ``num_kernel_launches`` per solve equals the
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
-* identity-bordered LU padding exactness (executor-level and plan-level);
+* identity-bordered LU padding exactness (the packing the plan patch uses
+  for clean leaves of mixed sizes);
 * the ``resolve_context``/``from_config`` precedence regression (an
   explicit ``dispatch_policy=`` must not be lost when the config carries a
   ``precision`` policy).
@@ -17,6 +18,7 @@ Covers the acceptance criteria of the plan refactor:
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from conftest import complex_test_matrix, hodlr_friendly_matrix
 
@@ -30,14 +32,16 @@ from repro import (
     build_hodlr,
 )
 from repro.api import SolverConfig
+from repro.backends.dispatch import NumpyBackend, pad_identity_stack, pad_pivot_stack
 from repro.baselines import RecursiveFactorization
-from repro.backends.batched import getrf_batched, getrs_batched
-from repro.backends.counters import get_recorder
-from repro.backends.dispatch import LOOP_POLICY
 
-VARIANTS = ["recursive", "flat", "batched"]
+VARIANTS = ["recursive", "batched"]
 
-PAD_POLICY = DispatchPolicy(pad_buckets=True)
+#: executes every bucket as a per-problem loop (no packed gemm, no
+#: vectorised LU) while keeping the one bucketed schedule
+LOOSE_POLICY = DispatchPolicy(
+    gemm_pack_max_elements=0, lu_factor_min_batch=10**9, lu_solve_max_n=0
+)
 
 
 def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
@@ -52,7 +56,7 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
 
 
 def factorize(H, variant, **kw):
-    """The recursive oracle, or the compiled plan under one of its names."""
+    """The recursive oracle, or the compiled plan."""
     if variant == "recursive":
         return RecursiveFactorization(hodlr=H).factorize()
     return HODLRSolver(H, variant=variant, **kw).factorize()
@@ -109,7 +113,6 @@ class TestPlanEquivalence:
         sols = [factorize(H, v).solve(b) for v in VARIANTS]
         ref = np.linalg.norm(sols[0])
         assert np.linalg.norm(sols[0] - sols[1]) / ref < 1e-12
-        assert np.linalg.norm(sols[0] - sols[2]) / ref < 1e-12
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_multiple_rhs_through_plan(self, variant, rng):
@@ -130,10 +133,11 @@ class TestPlanEquivalence:
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-9
 
     def test_loop_policy_still_compiles_plan(self, rng):
-        """LOOP_POLICY only changes how each packed launch executes: the
-        solver still compiles the plan and every solve replays it."""
+        """A policy that runs every bucket as a per-problem loop only changes
+        how each packed launch executes: the solver still compiles the plan
+        and every solve replays it."""
         A, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(policy=LOOP_POLICY)
+        ctx = ExecutionContext(policy=LOOSE_POLICY)
         solver = HODLRSolver(H, context=ctx).factorize()
         assert solver.solve_plan is not None
         b = rng.standard_normal(A.shape[0])
@@ -265,93 +269,53 @@ class TestFactorPrecision:
 
 
 # ======================================================================
-# identity-bordered LU padding
+# identity-bordered LU padding (the patch path's mixed-size leaf groups)
 # ======================================================================
 class TestPaddedLU:
+    SIZES = [7, 8, 8, 7, 8, 7, 8, 8] * 4
+
+    def _blocks(self, rng):
+        return [rng.standard_normal((m, m)) + m * np.eye(m) for m in self.SIZES]
+
     def test_getrf_padded_factors_exact(self, rng):
-        """Padded getrf returns bit-identical factors to unpadded getrf."""
-        sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 4
-        blocks = [
-            rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes
-        ]
-        plain = getrf_batched(blocks, policy=DispatchPolicy())
-        padded = getrf_batched(blocks, policy=PAD_POLICY)
-        for lu_a, lu_b, piv_a, piv_b in zip(
-            plain.lu, padded.lu, plain.piv, padded.piv
-        ):
-            np.testing.assert_allclose(lu_a, lu_b, rtol=1e-13, atol=1e-13)
-            np.testing.assert_array_equal(piv_a, piv_b)
+        """LU of an identity-bordered stack holds each block's own factor and
+        never pivots into the border."""
+        blocks = self._blocks(rng)
+        xb = NumpyBackend()
+        lu3, piv3 = xb.lu_factor_batch(pad_identity_stack(xb, blocks, 8, np.float64))
+        for j, (blk, m) in enumerate(zip(blocks, self.SIZES)):
+            lu, piv = sla.lu_factor(blk)
+            np.testing.assert_allclose(lu3[j, :m, :m], lu, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(piv3[j, :m], piv)
+            np.testing.assert_array_equal(piv3[j, m:], np.arange(m, 8))
 
     def test_getrs_padded_solutions_exact(self, rng):
-        sizes = [7, 8, 8, 7, 8, 7, 8, 8] * 8
-        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
-        rhs = [rng.standard_normal((m, 2)) for m in sizes]
-        plain = getrf_batched(blocks, policy=DispatchPolicy())
-        x_plain = getrs_batched(plain, rhs, policy=DispatchPolicy())
-        x_pad = getrs_batched(plain, rhs, policy=PAD_POLICY)
-        for a, b_ in zip(x_plain, x_pad):
-            np.testing.assert_allclose(a, b_, rtol=1e-12, atol=1e-13)
-
-    def test_padded_lu_records_merged_buckets(self, rng):
-        sizes = [7, 8] * 16
-        blocks = [rng.standard_normal((m, m)) + m * np.eye(m) for m in sizes]
-        rec = get_recorder()
-        with rec.recording() as t_plain:
-            getrf_batched(blocks, policy=DispatchPolicy())
-        with rec.recording() as t_pad:
-            getrf_batched(blocks, policy=PAD_POLICY)
-        assert t_pad.num_kernel_launches < t_plain.num_kernel_launches
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_plan_with_padded_buckets_matches_default(self, variant, rng):
-        """Identity-bordered padding inside the plan is exact on a
-        non-power-of-two tree (leaf sizes 37/38)."""
-        n = 300
-        A = hodlr_friendly_matrix(n, seed=5)
-        tree = ClusterTree.balanced(n, leaf_size=40)
-        H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        b = rng.standard_normal(n)
-        fac = factorize(H, variant)
-        fac_pad = factorize(
-            H, variant, context=ExecutionContext(policy=PAD_POLICY)
-        )
-        x = fac.solve(b)
-        x_pad = fac_pad.solve(b)
-        assert np.linalg.norm(x - x_pad) / np.linalg.norm(x) < 1e-12
-        if variant != "recursive":
-            # padding merges the two leaf-size buckets: fewer launches
-            # (the recursive oracle ignores the dispatch policy)
-            assert (
-                fac_pad.solve_plan.launches_per_solve
-                <= fac.solve_plan.launches_per_solve
-            )
+        """Per-block factors packed with ``pad_identity_stack`` /
+        ``pad_pivot_stack`` solve zero-padded right-hand sides exactly."""
+        blocks = self._blocks(rng)
+        factors = [sla.lu_factor(blk) for blk in blocks]
+        rhs3 = np.zeros((len(blocks), 8, 2))
+        for j, m in enumerate(self.SIZES):
+            rhs3[j, :m] = rng.standard_normal((m, 2))
+        xb = NumpyBackend()
+        lu3 = pad_identity_stack(xb, [lu for lu, _ in factors], 8, np.float64)
+        piv3 = pad_pivot_stack([piv for _, piv in factors], self.SIZES, 8)
+        x3 = xb.lu_solve_many(lu3, piv3, rhs3)
+        for j, m in enumerate(self.SIZES):
+            ref = sla.lu_solve(factors[j], rhs3[j, :m])
+            np.testing.assert_allclose(x3[j, :m], ref, rtol=1e-12, atol=1e-13)
+            np.testing.assert_array_equal(x3[j, m:], 0.0)
 
     def test_padded_bucket_mixing_real_and_complex_blocks(self, rng):
-        """A merged bucket must promote over *every* member: a complex block
-        sharing a padded bucket with real ones keeps its imaginary part."""
-        blocks = [rng.standard_normal((8, 8)) + 8 * np.eye(8) for _ in range(30)]
-        blocks.append(
-            rng.standard_normal((8, 8))
-            + 1j * rng.standard_normal((8, 8))
-            + 8 * np.eye(8)
-        )
-        f_pad = getrf_batched(blocks, policy=PAD_POLICY)
-        f_ref = getrf_batched(blocks, policy=DispatchPolicy())
-        for lu_a, lu_b in zip(f_pad.lu, f_ref.lu):
-            assert lu_a.dtype == lu_b.dtype
-            np.testing.assert_allclose(lu_a, lu_b, rtol=1e-13, atol=1e-13)
-        rhs = [rng.standard_normal((8, 2)) for _ in blocks]
-        x_pad = getrs_batched(f_pad, rhs, policy=PAD_POLICY)
-        x_ref = getrs_batched(f_ref, rhs, policy=DispatchPolicy())
-        for a, b_ in zip(x_pad, x_ref):
-            np.testing.assert_allclose(a, b_, rtol=1e-12, atol=1e-13)
-
-    def test_padded_plan_logdet_exact(self):
-        A, _ = make_problem(n=300, leaf=40)
-        tree = ClusterTree.balanced(300, leaf_size=40)
-        H = build_hodlr(A, tree, tol=1e-12, method="svd")
-        fac = factorize(H, "flat", context=ExecutionContext(policy=PAD_POLICY))
-        assert fac.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-8)
+        """A stack packed at a complex dtype keeps every member's imaginary
+        part, whatever the members' own dtypes."""
+        blocks = self._blocks(rng)[:4]
+        blocks[1] = blocks[1] + 1j * rng.standard_normal(blocks[1].shape)
+        stack = pad_identity_stack(NumpyBackend(), blocks, 8, np.complex128)
+        for j, blk in enumerate(blocks):
+            m = blk.shape[0]
+            np.testing.assert_array_equal(stack[j, :m, :m], blk)
+            np.testing.assert_array_equal(stack[j, m:, m:], np.eye(8 - m))
 
 
 # ======================================================================
@@ -362,7 +326,7 @@ class TestPrecedenceRegression:
         _, H = make_problem(n=128, leaf=32)
         cfg = SolverConfig(precision=PrecisionPolicy(factor="float32"))
         solver = HODLRSolver.from_config(
-            H, cfg, dispatch_policy=DispatchPolicy(bucketing=True, min_bucket=7)
+            H, cfg, dispatch_policy=DispatchPolicy(min_bucket=7)
         )
         # the explicit policy won ...
         assert solver.context.policy.min_bucket == 7
@@ -374,8 +338,8 @@ class TestPrecedenceRegression:
     def test_constructor_context_plus_policy_merge(self):
         _, H = make_problem(n=128, leaf=32)
         ctx = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
-        solver = HODLRSolver(H, dispatch_policy=LOOP_POLICY, context=ctx)
-        assert not solver.context.policy.bucketing
+        solver = HODLRSolver(H, dispatch_policy=LOOSE_POLICY, context=ctx)
+        assert solver.context.policy is LOOSE_POLICY
         assert solver.context.precision.storage == "float32"
 
     def test_batched_backend_facade_does_not_clobber_context(self, rng):
@@ -384,9 +348,9 @@ class TestPrecedenceRegression:
         from repro import BatchedBackend
 
         A, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(policy=LOOP_POLICY)
+        ctx = ExecutionContext(policy=LOOSE_POLICY)
         solver = HODLRSolver(H, backend=BatchedBackend(), context=ctx).factorize()
-        assert not solver.context.policy.bucketing
+        assert solver.context.policy is LOOSE_POLICY
         # the plan was compiled under the context's policy
         assert solver.factor_plan.context.policy is ctx.policy
         b = rng.standard_normal(128)

@@ -1,7 +1,7 @@
 """Correctness tests for the factorization engine against the recursive oracle.
 
 The compiled plan behind :class:`HODLRSolver` (Algorithms 1-4, reachable
-as ``variant="batched"`` or its alias ``"flat"``) and the textbook
+as ``variant="batched"``) and the textbook
 recursion of section III-A (:class:`repro.baselines.RecursiveFactorization`)
 must solve the same systems to round-off, for real and complex matrices,
 single and multiple right-hand sides, and varying tree depths.
@@ -36,7 +36,7 @@ def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real"):
 
 
 def unfactored(H, variant):
-    """The recursive oracle, or the compiled plan under one of its names."""
+    """The recursive oracle, or the compiled plan."""
     if variant == "recursive":
         return RecursiveFactorization(hodlr=H)
     return HODLRSolver(H, variant=variant)
@@ -46,9 +46,8 @@ def factorize(H, variant):
     return unfactored(H, variant).factorize()
 
 
-#: the recursive oracle plus the plan; "flat" and "batched" run the same
-#: code and stay listed so both spellings keep their coverage
-VARIANTS = ["recursive", "flat", "batched"]
+#: the recursive oracle plus the plan
+VARIANTS = ["recursive", "batched"]
 
 
 class TestSolveCorrectness:
@@ -91,7 +90,6 @@ class TestSolveCorrectness:
         b = rng.standard_normal(A.shape[0])
         sols = [factorize(H, v).solve(b) for v in VARIANTS]
         np.testing.assert_allclose(sols[0], sols[1], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(sols[0], sols[2], rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -153,30 +151,6 @@ class TestFactorizationEquivalence:
                     < 1e-7
                 )
 
-    def test_batched_and_flat_produce_same_Ybig(self):
-        _, H = make_problem(n=256, leaf=32, seed=6)
-        flat = factorize(H, "flat").factor_plan
-        batched = factorize(H, "batched").factor_plan
-        np.testing.assert_allclose(flat.Ybig, batched.Ybig, rtol=1e-9, atol=1e-11)
-
-    def test_flat_alias_is_bit_identical_to_batched(self, rng):
-        """``"flat"`` is a second name for the one plan engine: identical
-        solutions bit for bit and identical launch counts."""
-        _, H = make_problem(n=300, leaf=40, seed=12)
-        flat = factorize(H, "flat")
-        batched = factorize(H, "batched")
-        b = rng.standard_normal(300)
-        np.testing.assert_array_equal(flat.solve(b), batched.solve(b))
-        assert flat.factor_trace.num_launches == batched.factor_trace.num_launches
-        assert (
-            flat.factor_trace.num_kernel_launches
-            == batched.factor_trace.num_kernel_launches
-        )
-        assert (
-            flat.last_solve_trace.num_kernel_launches
-            == batched.last_solve_trace.num_kernel_launches
-        )
-
 
 class TestDeterminant:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -201,7 +175,7 @@ class TestDeterminant:
 
     def test_spd_logdet_positive(self):
         A, H = make_problem(n=128, leaf=16, kind="spd", seed=9)
-        fac = factorize(H, "flat")
+        fac = factorize(H, "batched")
         assert fac.logdet() == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-7)
 
 

@@ -31,7 +31,7 @@ from repro.backends.parallel import (
     shutdown_pool,
 )
 
-VARIANTS = ["recursive", "flat", "batched"]
+VARIANTS = ["recursive", "batched"]
 
 #: worker count that forces pool execution on any host
 WORKERS = 2

@@ -9,7 +9,7 @@ from conftest import hodlr_friendly_matrix
 
 
 class TestAPI:
-    @pytest.mark.parametrize("variant", ["recursive", "flat", "batched"])
+    @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_factorize_solve(self, small_dense, small_hodlr, variant, rng):
         solver = HODLRSolver(small_hodlr, variant=variant).factorize()
         assert solver.factored
