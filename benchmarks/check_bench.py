@@ -149,26 +149,28 @@ def counters_markdown(rows: List[dict]) -> str:
 
 
 def bench_markdown(payload: dict) -> str:
-    """Informational wall-clock table from a ``record_bench.py`` payload."""
+    """Informational wall-clock table from a ``record_bench.py`` payload.
+
+    ``record_bench.py`` writes a speedup row's measured side first and its
+    reference side second (``speedup = reference / measured``), so each
+    row renders its two timed keys under their own names in that order:
+    a speedup below 1 shows the measured side as the slower one.
+    """
     benches = payload.get("benchmarks", {})
     lines = [
         "### Bench rows (informational wall clock)",
         "",
-        "| benchmark | fast s | slow s | speedup |",
-        "|---|---:|---:|---:|",
+        "| benchmark | measured | s | reference | s | speedup (reference / measured) |",
+        "|---|---|---:|---|---:|---:|",
     ]
     for name, row in benches.items():
         if not isinstance(row, dict) or "speedup" not in row:
             continue
-        times = sorted(
-            (k, v) for k, v in row.items()
+        timed = [
+            f"{k[: -len('_s')]} | {_fmt(v)}" for k, v in row.items()
             if k.endswith("_s") and isinstance(v, (int, float))
-        )
-        fast = min((v for _k, v in times), default=None)
-        slow = max((v for _k, v in times), default=None)
-        lines.append(
-            f"| {name} | {_fmt(fast)} | {_fmt(slow)} | {row['speedup']}x |"
-        )
+        ]
+        lines.append(f"| {name} | {' | '.join(timed[:2])} | {row['speedup']}x |")
     return "\n".join(lines) + "\n"
 
 

@@ -122,6 +122,8 @@ def _timed_pair_best(fn_a, fn_b, repeats=4):
 
 
 def _row(name, fast_s, slow_s, fast_label="batched", slow_label="loop", **params):
+    # the measured side first, then the reference: check_bench.py renders
+    # the two keys in this order, matching speedup = slow_s / fast_s
     row = {
         f"{fast_label}_s": round(fast_s, 4),
         f"{slow_label}_s": round(slow_s, 4),

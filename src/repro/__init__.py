@@ -78,12 +78,9 @@ from .core.update import (
     update_points,
 )
 
-from .backends.batched import BatchedBackend
 from .backends.context import ExecutionContext, PrecisionPolicy, resolve_context
 from .backends.dispatch import (
     ArrayBackend,
-    BatchPlanner,
-    DispatchPolicy,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -221,8 +218,6 @@ __all__ = [
     "move_points",
     # backends
     "ArrayBackend",
-    "BatchPlanner",
-    "DispatchPolicy",
     "ExecutionContext",
     "PrecisionPolicy",
     "NumpyBackend",
@@ -231,7 +226,6 @@ __all__ = [
     "plan_batch",
     "register_backend",
     "resolve_context",
-    "BatchedBackend",
     "DeviceMemoryTracker",
     "hodlr_device_footprint",
     "max_problem_size",

@@ -10,7 +10,7 @@ itself:
 
 :class:`SolverConfig`
     How the factorization runs — variant (``batched`` or a registered one
-    such as ``recursive``), array backend, dispatch policy, storage dtype
+    such as ``recursive``), array backend, storage dtype, precision policy
     and pivoting — plus a nested :class:`CompressionConfig`.
 
 Both validate on construction, are hashable (usable as sweep keys), and
@@ -37,7 +37,6 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from ..backends.context import ExecutionContext, PrecisionPolicy
-from ..backends.dispatch import DispatchPolicy
 from ..bie.proxy import ProxyCompressionConfig
 from ..core.compression import CompressionConfig as CoreCompressionConfig
 from ..core.solver import available_solver_variants
@@ -199,10 +198,6 @@ class SolverConfig:
         (``"numpy"``, ``"cupy"``, or anything added via
         :func:`repro.register_backend`).  Stored by name so configs stay
         serialisable; the instance is resolved at factorization time.
-    dispatch_policy:
-        Shape-bucketing policy for the batched primitives (``None`` = the
-        default policy, whose crossovers are fixed constants).  Accepts a
-        :class:`DispatchPolicy` or its dict form.
     dtype:
         Storage/factorization dtype override as a dtype name (``"float32"``
         reproduces the paper's single-precision runs); ``None`` keeps the
@@ -226,7 +221,6 @@ class SolverConfig:
 
     variant: str = "batched"
     backend: str = "numpy"
-    dispatch_policy: Optional[DispatchPolicy] = None
     dtype: Optional[str] = None
     pivot: bool = True
     compression: CompressionConfig = field(default_factory=CompressionConfig)
@@ -241,16 +235,6 @@ class SolverConfig:
         _check(
             isinstance(self.backend, str) and bool(self.backend),
             f"backend must be a registered backend name, got {self.backend!r}",
-        )
-        if isinstance(self.dispatch_policy, Mapping):
-            try:
-                policy = DispatchPolicy(**self.dispatch_policy)
-            except TypeError as exc:
-                raise ConfigError(str(exc)) from exc
-            object.__setattr__(self, "dispatch_policy", policy)
-        _check(
-            self.dispatch_policy is None or isinstance(self.dispatch_policy, DispatchPolicy),
-            f"dispatch_policy must be a DispatchPolicy or None, got {self.dispatch_policy!r}",
         )
         object.__setattr__(self, "dtype", _normalize_dtype(self.dtype))
         _check(isinstance(self.pivot, bool), f"pivot must be a bool, got {self.pivot!r}")
@@ -287,8 +271,8 @@ class SolverConfig:
 
     def execution_context(self) -> ExecutionContext:
         """The :class:`~repro.backends.context.ExecutionContext` this config
-        describes: backend resolved by name, dispatch policy, and the
-        precision policy (with ``dtype`` folded into ``precision.storage``).
+        describes: backend resolved by name and the precision policy (with
+        ``dtype`` folded into ``precision.storage``).
 
         This is the object the facade threads through construction,
         factorization, and apply.  Resolution happens here — a missing
@@ -298,13 +282,7 @@ class SolverConfig:
         precision = self.precision
         if precision.storage is None and self.dtype is not None:
             precision = replace(precision, storage=self.dtype)
-        return ExecutionContext(
-            backend=self.backend,
-            policy=self.dispatch_policy
-            if self.dispatch_policy is not None
-            else DispatchPolicy(),
-            precision=precision,
-        )
+        return ExecutionContext(backend=self.backend, precision=precision)
 
     def construction_context(self) -> ExecutionContext:
         """The context the facade hands to HODLR *construction*.
@@ -348,9 +326,6 @@ class SolverConfig:
         return {
             "variant": self.variant,
             "backend": self.backend,
-            "dispatch_policy": None
-            if self.dispatch_policy is None
-            else asdict(self.dispatch_policy),
             "dtype": self.dtype,
             "pivot": self.pivot,
             "compression": self.compression.to_dict(),

@@ -160,8 +160,8 @@ class HODLROperator(LinearOperator):
         if self._solver is None:
             # the hodlr is already at the factorization dtype: skip the
             # solver's own cast by passing dtype=None; the operator's
-            # (possibly auto-tuned) context overrides the one from_config
-            # would rebuild from the raw config fields
+            # context overrides the one from_config would rebuild from the
+            # raw config fields
             self._solver = HODLRSolver.from_config(
                 self._current_hodlr(), self.config, dtype=None, context=self.context
             ).factorize()

@@ -717,11 +717,8 @@ def _config_sweep(
 
     # phase 1 (serial): assemble once per distinct construction key — the
     # key is everything assembly depends on: compression settings plus the
-    # construction context (backend / dtype / precision / dispatch)
-    keys = [
-        (cfg.compression, cfg.backend, cfg.dtype, cfg.precision, cfg.dispatch_policy)
-        for cfg in configs
-    ]
+    # construction context (backend / dtype / precision)
+    keys = [(cfg.compression, cfg.backend, cfg.dtype, cfg.precision) for cfg in configs]
     assembled_by_comp: Dict[Any, AssembledProblem] = {}
     assemble_seconds: Dict[Any, float] = {}
     recycled_flags: List[bool] = []

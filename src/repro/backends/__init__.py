@@ -21,9 +21,7 @@ from .dispatch import (
     ArrayBackend,
     BackendUnavailableError,
     BatchPlan,
-    BatchPlanner,
     CupyBackend,
-    DispatchPolicy,
     NumpyBackend,
     ShapeBucket,
     available_backends,
@@ -39,13 +37,10 @@ from .context import (
     resolve_context,
 )
 from .batched import (
-    BatchedBackend,
     gemm_batched,
     gemm_strided_batched,
     getrf_batched,
     getrs_batched,
-    lu_factor_batched,
-    lu_solve_batched,
 )
 from .device import DeviceSpec, CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16
 from .perfmodel import PerformanceModel, ExecutionEstimate
@@ -61,9 +56,7 @@ __all__ = [
     "ArrayBackend",
     "BackendUnavailableError",
     "BatchPlan",
-    "BatchPlanner",
     "CupyBackend",
-    "DispatchPolicy",
     "NumpyBackend",
     "ShapeBucket",
     "available_backends",
@@ -75,13 +68,10 @@ __all__ = [
     "ExecutionContext",
     "PrecisionPolicy",
     "resolve_context",
-    "BatchedBackend",
     "gemm_batched",
     "gemm_strided_batched",
     "getrf_batched",
     "getrs_batched",
-    "lu_factor_batched",
-    "lu_solve_batched",
     "DeviceSpec",
     "CPU_XEON_6254_DUAL",
     "GPU_V100",

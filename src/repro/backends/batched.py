@@ -30,14 +30,16 @@ Design notes
   there is no per-block or pad-to-bucket alternative.
 * Buckets execute one after another on the calling thread.  Each logical
   launch records ONE event with analytic totals, computed per bucket
-  rather than per block.  Within a bucket the
-  :class:`~repro.backends.dispatch.DispatchPolicy` crossovers only choose
-  how the NumPy emulation executes it (one vectorised call over packed
-  storage, or a tight per-problem LAPACK loop); the launch count is the
-  same either way.
-* All array arithmetic goes through an :class:`~repro.backends.dispatch.
-  ArrayBackend` (NumPy by default), which is the seam where real GPU
-  backends (CuPy) plug in.
+  rather than per block.  Within a bucket the dispatch constants of
+  :mod:`repro.backends.dispatch` only choose how the NumPy emulation
+  executes it (one vectorised call over packed storage, or a tight
+  per-problem LAPACK loop); the launch count is the same either way.
+  :func:`getrf_stack` / :func:`getrs_stack` hold that choice for LU
+  buckets, shared by :func:`getrf_batched` / :func:`getrs_batched` and the
+  compiled factor plan.
+* All array arithmetic goes through the ``backend=`` argument, an
+  :class:`~repro.backends.dispatch.ArrayBackend` (NumPy by default), which
+  is the seam where real GPU backends (CuPy) plug in.
 * LU factorization uses partial pivoting by default; ``pivot=False``
   emulates the paper's discussion of the non-pivoted variants of
   equation (9).
@@ -46,7 +48,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,11 +62,12 @@ from .counters import (
     record_event,
 )
 from .dispatch import (
-    DEFAULT_POLICY,
     ArrayBackend,
-    DispatchPolicy,
     get_backend,
+    pack_gemm_bucket,
     plan_batch,
+    vectorize_lu_factor,
+    vectorize_lu_solve,
 )
 
 ArrayBatch = Union[np.ndarray, Sequence[np.ndarray]]
@@ -88,22 +91,6 @@ def _batch_len(batch: ArrayBatch) -> int:
     if _is_strided(batch):
         return batch.shape[0]
     return len(batch)
-
-
-def _resolve(
-    backend: Optional[ArrayBackend],
-    policy: Optional[DispatchPolicy],
-    context: Optional[Any] = None,
-) -> Tuple[ArrayBackend, DispatchPolicy]:
-    """Resolve the legacy ``backend=``/``policy=`` pair and the unified
-    ``context=`` spelling (an :class:`~repro.backends.context.ExecutionContext`,
-    duck-typed to avoid an import cycle) to concrete instances."""
-    if context is not None:
-        if backend is None:
-            backend = context.backend
-        if policy is None:
-            policy = context.policy
-    return backend or get_backend("numpy"), policy or DEFAULT_POLICY
 
 
 # ----------------------------------------------------------------------
@@ -140,8 +127,6 @@ def gemm_batched(
     transpose_a: bool = False,
     conjugate_a: bool = False,
     backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[Any] = None,
 ) -> List[np.ndarray]:
     """Pointer-array batched GEMM: ``C[i] = alpha * op(A[i]) @ B[i] + beta * C[i]``.
 
@@ -161,15 +146,15 @@ def gemm_batched(
     if nbatch == 0:
         return []
 
-    xb, pol = _resolve(backend, policy, context)
+    xb = backend or get_backend()
     results: List[Optional[np.ndarray]] = [None] * nbatch
     total_flops = 0.0
     total_bytes = 0.0
     shape_rep: Tuple[int, int, int] = (0, 0, 0)
 
     plan = plan_batch([(np.shape(A[i]), np.shape(B[i])) for i in range(nbatch)])
-    # accounting is analytic per bucket (shapes are uniform within a bucket),
-    # which removes the seed's per-block Python bookkeeping from the fast path
+    # accounting is analytic per bucket (shapes are uniform within a bucket):
+    # no per-block Python bookkeeping on the fast path
     dtype = np.result_type(
         *[_elem_dtype(A[b.indices[0]]) for b in plan.buckets],
         *[_elem_dtype(B[b.indices[0]]) for b in plan.buckets],
@@ -187,7 +172,7 @@ def gemm_batched(
         n = shape_b[1] if len(shape_b) == 2 else 1
         a_elements = shape_a[0] * shape_a[1]
         b_elements = shape_b[0] * n if len(shape_b) == 2 else shape_b[0]
-        if pol.pack_gemm_bucket(len(idx), a_elements, b_elements):
+        if pack_gemm_bucket(len(idx), a_elements, b_elements):
             A3 = xb.stack([A[i] for i in idx])
             B3 = xb.stack([B[i] for i in idx])
             vector_rhs = B3.ndim == 2  # bucket of 1-D right-hand sides
@@ -264,7 +249,6 @@ def gemm_strided_batched(
     transpose_a: bool = False,
     conjugate_a: bool = False,
     backend: Optional[ArrayBackend] = None,
-    context: Optional[Any] = None,
     plan: bool = False,
 ) -> np.ndarray:
     """Strided batched GEMM over 3-D operands (``batch x m x k`` etc.).
@@ -279,7 +263,7 @@ def gemm_strided_batched(
         raise ValueError("gemm_strided_batched expects 3-D operands")
     if A.shape[0] != B.shape[0]:
         raise ValueError("batch dimensions must agree")
-    xb, _ = _resolve(backend, None, context)
+    xb = backend or get_backend()
 
     if transpose_a or conjugate_a:
         opA = A.transpose(0, 2, 1).conj() if conjugate_a else A.transpose(0, 2, 1)
@@ -313,7 +297,6 @@ def gemm_strided_batched(
 def qr_batched(
     A: np.ndarray,
     backend: Optional[ArrayBackend] = None,
-    context: Optional[Any] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Strided batched thin QR (cuSOLVER ``geqrfBatched`` + ``orgqr``).
 
@@ -324,7 +307,7 @@ def qr_batched(
     """
     if A.ndim != 3:
         raise ValueError("qr_batched expects a 3-D strided batch")
-    xb, _ = _resolve(backend, None, context)
+    xb = backend or get_backend()
     Q, R = xb.qr_batch(A)
     nbatch, m, n = A.shape
     cplx = _is_complex(A.dtype)
@@ -345,7 +328,6 @@ def qr_batched(
 def svd_batched(
     A: np.ndarray,
     backend: Optional[ArrayBackend] = None,
-    context: Optional[Any] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Strided batched economy SVD (cuSOLVER ``gesvdjBatched``).
 
@@ -354,7 +336,7 @@ def svd_batched(
     """
     if A.ndim != 3:
         raise ValueError("svd_batched expects a 3-D strided batch")
-    xb, _ = _resolve(backend, None, context)
+    xb = backend or get_backend()
     U, s, Vh = xb.svd_batch(A)
     nbatch, m, n = A.shape
     cplx = _is_complex(A.dtype)
@@ -417,12 +399,59 @@ class BatchedLU:
         return signs, logs
 
 
+def getrf_stack(xb: ArrayBackend, A3, pivot: bool = True):
+    """LU-factorize one packed ``(nb, n, n)`` shape bucket.
+
+    The one execution body of an LU-factorization bucket, shared by
+    :func:`getrf_batched` and the compiled factor plan: the vectorised
+    batched elimination when :func:`~repro.backends.dispatch.
+    vectorize_lu_factor` says so, blocked per-problem LAPACK otherwise.
+    Returns ``(lu3, piv3)`` with full-length int64 pivots (``arange`` rows
+    for the non-pivoted path), so downstream code never branches on pivot
+    storage.  Records no event: each caller accounts for its own launch.
+    """
+    nb, n = A3.shape[0], A3.shape[1]
+    if vectorize_lu_factor(nb, n):
+        lu3, piv3 = xb.lu_factor_batch(A3, pivot=pivot)
+        return lu3, np.asarray(piv3, dtype=np.int64)
+    lu3 = xb.zeros(A3.shape, dtype=A3.dtype)
+    piv3 = np.zeros((nb, n), dtype=np.int64)
+    base = np.arange(n, dtype=np.int64)
+    for i in range(nb):
+        lu, piv = xb.lu_factor(A3[i], pivot=pivot)
+        lu3[i] = lu
+        piv3[i] = piv if (pivot and np.size(piv) == n) else base
+    return lu3, piv3
+
+
+def getrs_stack(xb: ArrayBackend, lu3, piv3, rhs3, pivot: bool = True):
+    """Solve one packed ``(nb, n, nrhs)`` right-hand-side stack.
+
+    The one execution body of an LU-solve bucket, shared by
+    :func:`getrs_batched` and the compiled solve plan: the vectorised
+    substitution when :func:`~repro.backends.dispatch.vectorize_lu_solve`
+    says so, per-problem LAPACK otherwise.  The result carries the
+    promoted dtype of ``lu3`` and ``rhs3``.  Records no event.
+    """
+    nb, n = rhs3.shape[0], rhs3.shape[1]
+    out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
+    if rhs3.dtype != out_dtype:
+        rhs3 = rhs3.astype(out_dtype)
+    if vectorize_lu_solve(nb, n):
+        return xb.lu_solve_batch(lu3, piv3, rhs3, pivot=pivot)
+    many = getattr(xb, "lu_solve_many", None)
+    if many is not None:
+        return many(lu3, piv3, rhs3, pivot=pivot)
+    x3 = xb.zeros(rhs3.shape, dtype=out_dtype)
+    for i in range(nb):
+        x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
+    return x3
+
+
 def getrf_batched(
     A: ArrayBatch,
     pivot: bool = True,
     backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[Any] = None,
 ) -> BatchedLU:
     """Batched LU factorization (cuBLAS ``getrfBatched``).
 
@@ -431,8 +460,8 @@ def getrf_batched(
     A:
         Either a 3-D array of identically sized square matrices or a list of
         square matrices with possibly different sizes.  Equal-size matrices
-        are factorized together by the vectorised batched elimination (one
-        launch per shape bucket).
+        are packed and factorized by :func:`getrf_stack` (one launch per
+        shape bucket).
     pivot:
         Apply partial pivoting (default).  The non-pivoted path exists to
         model the alternative formulations of equation (9) discussed in the
@@ -441,7 +470,7 @@ def getrf_batched(
     nbatch = _batch_len(A)
     if nbatch == 0:
         return BatchedLU(lu=[], piv=[], pivot=pivot)
-    xb, pol = _resolve(backend, policy, context)
+    xb = backend or get_backend()
 
     lus: List[Optional[np.ndarray]] = [None] * nbatch
     pivs: List[Optional[np.ndarray]] = [None] * nbatch
@@ -461,16 +490,10 @@ def getrf_batched(
     for bucket in plan.buckets:
         idx = bucket.indices
         n = bucket.key[0]
-        if pol.vectorize_lu_factor(len(idx), n):
-            stack = xb.stack([A[i] for i in idx])
-            lu3, piv3 = xb.lu_factor_batch(stack, pivot=pivot)
-            for j, i in enumerate(idx):
-                lus[i] = lu3[j]
-                pivs[i] = piv3[j] if pivot else empty_piv
-        else:
-            # blocks above the vectorisation crossover: blocked per-problem
-            # LAPACK inside the bucket, still one planned launch
-            _getrf_loose(idx, A, pivot, xb, lus, pivs)
+        lu3, piv3 = getrf_stack(xb, xb.stack([A[i] for i in idx]), pivot=pivot)
+        for j, i in enumerate(idx):
+            lus[i] = lu3[j]
+            pivs[i] = piv3[j] if pivot else empty_piv
         total_flops += len(idx) * getrf_flops(n, cplx)
         total_bytes += float(len(idx) * 2 * n * n * itemsize)
         if len(idx) > rep_size:
@@ -481,33 +504,22 @@ def getrf_batched(
     return BatchedLU(lu=lus, piv=pivs, pivot=pivot)  # type: ignore[arg-type]
 
 
-def _getrf_loose(idx, A, pivot, xb, lus, pivs):
-    """Per-problem LAPACK factorization of one LU bucket."""
-    empty_piv = np.empty(0, dtype=np.int64)
-    for i in idx:
-        lu, piv = xb.lu_factor(xb.asarray(A[i]), pivot=pivot)
-        lus[i] = lu
-        pivs[i] = piv if pivot else empty_piv
-
-
 def getrs_batched(
     factors: BatchedLU,
     B: ArrayBatch,
     backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
-    context: Optional[Any] = None,
 ) -> List[np.ndarray]:
     """Batched LU solve (cuBLAS ``getrsBatched``): ``X[i] = A[i]^{-1} B[i]``.
 
     Problems whose factor size and right-hand-side shape coincide are packed
-    and solved with one vectorised substitution per shape bucket.
+    and solved by :func:`getrs_stack` (one launch per shape bucket).
     """
     nbatch = len(factors)
     if _batch_len(B) != nbatch:
         raise ValueError("right-hand-side batch must match the factor batch")
     if nbatch == 0:
         return []
-    xb, pol = _resolve(backend, policy, context)
+    xb = backend or get_backend()
 
     xs: List[Optional[np.ndarray]] = [None] * nbatch
     total_flops = 0.0
@@ -531,33 +543,20 @@ def getrs_batched(
     for bucket in plan.buckets:
         idx = bucket.indices
         n, nrhs = bucket.key
-        lu_itemsize = factors.lu[idx[0]].dtype.itemsize
-        if pol.vectorize_lu_solve(len(idx), n):
-            lu3 = xb.stack([factors.lu[i] for i in idx])
-            piv3 = xb.stack([factors.piv[i] for i in idx]) if factors.pivot else None
-            rhs3 = xb.stack([rhs2d[i] for i in idx])
-            x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=factors.pivot)
-            for j, i in enumerate(idx):
-                xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
-        else:
-            # above the vectorisation crossover: BLAS-3 substitution per
-            # problem inside the bucket, still one planned launch
-            _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs)
+        lu3 = xb.stack([factors.lu[i] for i in idx])
+        piv3 = xb.stack([factors.piv[i] for i in idx])
+        rhs3 = xb.stack([rhs2d[i] for i in idx])
+        x3 = getrs_stack(xb, lu3, piv3, rhs3, pivot=factors.pivot)
+        for j, i in enumerate(idx):
+            xs[i] = x3[j].ravel() if squeeze[i] else x3[j]
         total_flops += len(idx) * getrs_flops(n, nrhs, cplx)
-        total_bytes += float(len(idx) * (n * n * lu_itemsize + 2 * n * nrhs * rhs_itemsize))
+        total_bytes += float(len(idx) * (n * n * lu3.dtype.itemsize + 2 * n * nrhs * rhs_itemsize))
         if len(idx) > rep_size:
             rep_size = len(idx)
             shape_rep = (n, nrhs, 0)
     _record_lu("getrs_batched", nbatch, shape_rep, total_flops, total_bytes,
                dtype, strided=True, buckets=plan.num_buckets)
     return xs  # type: ignore[return-value]
-
-
-def _getrs_loose(idx, factors, rhs2d, squeeze, xb, xs):
-    """Per-problem LAPACK substitution for one LU-solve bucket."""
-    for i in idx:
-        x = xb.lu_solve(factors.lu[i], factors.piv[i], rhs2d[i], pivot=factors.pivot)
-        xs[i] = x.ravel() if squeeze[i] else x
 
 
 def _record_lu(kernel, nbatch, shape_rep, flops, nbytes, dtype, strided, buckets):
@@ -573,55 +572,3 @@ def _record_lu(kernel, nbatch, shape_rep, flops, nbytes, dtype, strided, buckets
             buckets=buckets,
         )
     )
-
-
-# convenience aliases mirroring LAPACK naming used in the algorithms
-lu_factor_batched = getrf_batched
-lu_solve_batched = getrs_batched
-
-
-class BatchedBackend:
-    """Object-oriented facade over the batched primitives.
-
-    The factorization code accepts a backend instance so that tests can
-    substitute counting or fault-injecting backends, and so that the array
-    backend (NumPy / CuPy) and the dispatch policy can be chosen per
-    solver.  The default forwards to the module-level functions on the
-    NumPy backend with the default policy.
-    """
-
-    def __init__(
-        self,
-        array_backend: Optional[Union[str, ArrayBackend]] = None,
-        policy: Optional[DispatchPolicy] = None,
-        context: Optional[Any] = None,
-    ) -> None:
-        if context is not None:
-            if array_backend is None:
-                array_backend = context.backend
-            if policy is None:
-                policy = context.policy
-        if isinstance(array_backend, str):
-            array_backend = get_backend(array_backend)
-        self.array_backend = array_backend or get_backend("numpy")
-        self.policy = policy or DEFAULT_POLICY
-        self.name = f"{self.array_backend.name}-batched"
-
-    def gemm_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return gemm_batched(*args, **kwargs)
-
-    def gemm_strided_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        return gemm_strided_batched(*args, **kwargs)
-
-    def getrf_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return getrf_batched(*args, **kwargs)
-
-    def getrs_batched(self, *args, **kwargs):
-        kwargs.setdefault("backend", self.array_backend)
-        kwargs.setdefault("policy", self.policy)
-        return getrs_batched(*args, **kwargs)

@@ -5,9 +5,9 @@ host and returns them as a :class:`MachineProfile`.  Roofline reports
 divide attained GFLOP/s and GB/s by its ``peak_gflops`` and
 ``mem_bandwidth`` fields.
 
-Nothing here feeds back into dispatch or precision: the
-:class:`~repro.backends.dispatch.DispatchPolicy` defaults are fixed
-constants, as the paper's fixed schedule of batched kernels is, and
+Nothing here feeds back into dispatch or precision: the dispatch
+crossovers in :mod:`repro.backends.dispatch` are fixed constants, as the
+paper's fixed schedule of batched kernels is, and
 precision demotion is whatever :class:`~repro.backends.context.PrecisionPolicy`
 the caller sets.
 """

@@ -1,32 +1,23 @@
 """Device-resident execution contexts: *where* arrays live and *what* they carry.
 
-Before this module, "which device" and "which precision" were smeared over
-ad-hoc keyword arguments: ``build_hodlr(backend=..., dispatch_policy=...)``,
-``HODLRSolver(backend=..., dispatch_policy=...)``, ``SolverConfig.dtype`` —
-and the construction stage quietly ignored all of them, always evaluating
-and compressing on the default NumPy backend.  An end-to-end device run
-(construct, factorize, *and* apply on a GPU) was therefore impossible, and
-a mixed-precision apply plan had no place to be configured.
-
-:class:`ExecutionContext` unifies the three orthogonal decisions into one
-immutable object that is threaded through every layer of the stack:
+:class:`ExecutionContext` holds the two orthogonal execution decisions in
+one immutable object that is threaded through every layer of ``core/`` and
+``api/`` (the ``backends/`` primitives below it take a bare ``backend=``):
 
 ``backend``
     The :class:`~repro.backends.dispatch.ArrayBackend` owning array storage
     and the batched kernels (NumPy, CuPy, or anything registered via
     :func:`~repro.backends.dispatch.register_backend`).  Accepts a
     registered name; the instance is resolved on construction.
-``policy``
-    The :class:`~repro.backends.dispatch.DispatchPolicy` deciding how
-    heterogeneous batches are bucketed (and whether near-equal shapes are
-    zero-padded into shared buckets).  Its crossover defaults are fixed
-    constants; pass an explicit policy to change them.
 ``precision``
     A :class:`PrecisionPolicy` describing the dtype each pipeline stage
     carries: the storage dtype of the HODLR blocks and factorization, the
     (possibly demoted) dtype of the compiled apply plan, the accumulation
     dtype of demoted products, and whether direct solves run one step of
     iterative refinement to recover full-precision residuals.
+
+How a shape bucket executes is not part of the context: the dispatch
+crossovers are fixed constants in :mod:`repro.backends.dispatch`.
 
 Transfers are explicit and happen only at the facade boundary:
 :meth:`ExecutionContext.to_device` / :meth:`ExecutionContext.to_host`.
@@ -43,13 +34,7 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from .dispatch import (
-    DEFAULT_POLICY,
-    ArrayBackend,
-    DispatchPolicy,
-    NumpyBackend,
-    get_backend,
-)
+from .dispatch import ArrayBackend, NumpyBackend, get_backend
 
 #: float -> complex companions used when a real plan dtype meets complex data
 _COMPLEX_OF = {"float32": "complex64", "float64": "complex128"}
@@ -199,14 +184,13 @@ class PrecisionPolicy:
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """One object owning array placement, dispatch, and precision.
+    """One object owning array placement and precision.
 
     The context is the single seam threaded through construction
     (:func:`~repro.core.hodlr.build_hodlr`), factorization
     (:class:`~repro.core.solver.HODLRSolver` and its compiled plan),
     application (:class:`~repro.core.apply_plan.ApplyPlan`), and the
-    :mod:`repro.api` facade — replacing the per-call ``backend=`` /
-    ``dispatch_policy=`` plumbing.
+    :mod:`repro.api` facade.
 
     >>> from repro.backends import ExecutionContext, PrecisionPolicy
     >>> ctx = ExecutionContext(backend="numpy",
@@ -216,16 +200,11 @@ class ExecutionContext:
     """
 
     backend: Union[str, ArrayBackend] = "numpy"
-    policy: DispatchPolicy = field(default_factory=lambda: DEFAULT_POLICY)
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
 
     def __post_init__(self) -> None:
         if isinstance(self.backend, str):
             object.__setattr__(self, "backend", get_backend(self.backend))
-        if self.policy is None:
-            object.__setattr__(self, "policy", DEFAULT_POLICY)
-        if not isinstance(self.policy, DispatchPolicy):
-            raise TypeError(f"policy must be a DispatchPolicy, got {self.policy!r}")
         if not isinstance(self.precision, PrecisionPolicy):
             raise TypeError(
                 f"precision must be a PrecisionPolicy, got {self.precision!r}"
@@ -265,38 +244,10 @@ class ExecutionContext:
         return replace(self, **changes)
 
 
-#: process-wide default: host NumPy, default bucketing, natural precision
+#: process-wide default: host NumPy, natural precision
 DEFAULT_CONTEXT = ExecutionContext()
 
 
-def resolve_context(
-    context: Optional[ExecutionContext] = None,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-    policy: Optional[DispatchPolicy] = None,
-) -> ExecutionContext:
-    """Resolve the (new) ``context=`` and the (legacy) ``backend=``/``policy=``
-    spellings to one :class:`ExecutionContext`.
-
-    Precedence (audited in PR 5): an explicit ``backend=``/``policy=``
-    argument **overrides the matching field of the context**, while every
-    other context field — in particular the :class:`PrecisionPolicy` — is
-    preserved.  Earlier revisions raised on the combination, which forced
-    callers that had a precision-carrying context (e.g. one built from
-    ``SolverConfig.precision``) to drop either their explicit dispatch
-    policy or the precision policy; merging keeps both.  With no context, a
-    context is assembled from the legacy arguments (both ``None`` returns
-    the shared default).
-    """
-    if context is not None:
-        changes = {}
-        if backend is not None and backend is not context.backend:
-            changes["backend"] = backend
-        if policy is not None and policy is not context.policy:
-            changes["policy"] = policy
-        return context.replace(**changes) if changes else context
-    if backend is None and policy is None:
-        return DEFAULT_CONTEXT
-    return ExecutionContext(
-        backend=backend if backend is not None else "numpy",
-        policy=policy if policy is not None else DEFAULT_POLICY,
-    )
+def resolve_context(context: Optional[ExecutionContext] = None) -> ExecutionContext:
+    """The given context, or :data:`DEFAULT_CONTEXT` when it is ``None``."""
+    return DEFAULT_CONTEXT if context is None else context

@@ -3,12 +3,8 @@
 The paper's GPU schedule reduces the HODLR factorization and solve to four
 batched BLAS/LAPACK kernels.  cuBLAS executes a *uniform* batch (all
 problems the same shape) as a single strided kernel; a heterogeneous
-pointer-array batch degrades to the slow generic path.  The seed emulation
-in :mod:`repro.backends.batched` mirrored that degradation with a pure
-Python loop — one NumPy call per block — which is exactly the schedule the
-paper is designed to avoid.
-
-This module turns the emulation layer into a real dispatch seam:
+pointer-array batch degrades to the slow generic path.  This module is the
+seam between that schedule and the array library that executes it:
 
 :class:`ArrayBackend`
     A protocol describing the array-level primitives the batched kernels
@@ -18,7 +14,7 @@ This module turns the emulation layer into a real dispatch seam:
     ``cupy`` import so a real GPU backend plugs in without touching the
     solver code.  Backends are looked up by name via :func:`get_backend`.
 
-:class:`BatchPlanner` / :func:`plan_batch`
+:func:`plan_batch`
     Groups a heterogeneous pointer-array batch into *shape buckets*:
     maximal index sets whose operands share identical shapes.  Each bucket
     is packed into strided 3-D storage and executed with one vectorised
@@ -27,10 +23,13 @@ This module turns the emulation layer into a real dispatch seam:
     is the one schedule every batched primitive runs; there is no
     per-block or pad-to-bucket alternative.
 
-:class:`DispatchPolicy`
-    Crossovers deciding how the NumPy emulation executes a bucket (packed
-    strided storage vs a tight per-problem loop, vectorised batched LU vs
-    per-problem LAPACK).  They never change the launch count.
+Dispatch constants
+    Fixed crossovers deciding how the NumPy emulation executes a bucket
+    (packed strided storage vs a tight per-problem loop, vectorised
+    batched LU vs per-problem LAPACK), read by :func:`pack_gemm_bucket`,
+    :func:`vectorize_lu_factor` and :func:`vectorize_lu_solve`.  They
+    follow the observed bucket size and block width and never change the
+    launch count.
 
 :func:`pad_identity_stack` / :func:`pad_pivot_stack`
     Identity-bordered packing of square LU factors of *different* sizes
@@ -45,7 +44,7 @@ tested on bare tuples in ``tests/test_dispatch.py``).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -92,31 +91,19 @@ class BatchPlan:
     def num_buckets(self) -> int:
         return len(self.buckets)
 
-    @property
-    def max_bucket(self) -> int:
-        return max((len(b) for b in self.buckets), default=0)
 
-    def packed_buckets(self, min_bucket: int = 2) -> List[ShapeBucket]:
-        """Buckets large enough to be packed into strided storage."""
-        return [b for b in self.buckets if len(b) >= min_bucket]
-
-
-class BatchPlanner:
-    """Groups batch members into uniform shape buckets.
+def plan_batch(keys: Sequence[Hashable]) -> BatchPlan:
+    """Group batch members into uniform shape buckets.
 
     Grouping preserves first-occurrence order of the keys and submission
     order within each bucket, so plans are deterministic and the scattered
     results are bit-for-bit reproducible across runs.
     """
-
-    def plan(self, keys: Sequence[Hashable]) -> BatchPlan:
-        groups: Dict[Hashable, List[int]] = {}
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        buckets = tuple(
-            ShapeBucket(key=key, indices=tuple(idx)) for key, idx in groups.items()
-        )
-        return BatchPlan(buckets=buckets, nbatch=len(keys))
+    groups: Dict[Hashable, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    buckets = tuple(ShapeBucket(key=key, indices=tuple(idx)) for key, idx in groups.items())
+    return BatchPlan(buckets=buckets, nbatch=len(keys))
 
 
 def pad_identity_stack(xb, blocks, width: int, dtype):
@@ -154,104 +141,52 @@ def pad_pivot_stack(pivs, sizes: Sequence[int], width: int) -> np.ndarray:
     return out
 
 
-_PLANNER = BatchPlanner()
-
-
-def plan_batch(keys: Sequence[Hashable]) -> BatchPlan:
-    """Plan a batch with the module-level :class:`BatchPlanner`."""
-    return _PLANNER.plan(keys)
-
-
 # ======================================================================
-# dispatch policy
+# dispatch constants
 # ======================================================================
-@dataclass(frozen=True)
-class DispatchPolicy:
-    """Tunables for the bucketed batch dispatch.
+# Bucketing is the schedule: a planned call always costs one launch per
+# shape bucket (recorded in the kernel event).  Within a bucket the NumPy
+# emulation picks the faster host execution -- packed strided storage plus
+# one vectorised call, or a tight per-problem LAPACK loop -- from the fixed
+# crossovers below.  A real GPU backend executes every bucket as one
+# batched kernel regardless, so they only shape the emulation's wall
+# clock.  They were measured once on one development machine; the paper
+# likewise runs one fixed schedule and tunes no crossover per host.
 
-    Bucketing is the schedule: a planned call always costs one launch per
-    shape bucket (recorded in the kernel event).  Within a bucket the NumPy
-    emulation chooses the fastest host execution — packed strided storage
-    plus one vectorised call, or a tight per-problem LAPACK loop — using
-    the measured crossovers below (a real GPU backend executes every
-    bucket as one batched kernel regardless, so these thresholds only
-    matter for the CPU emulation's wall clock).
-
-    The class defaults are the fixed constants every run uses unless the
-    caller passes its own policy; they were measured once on one
-    development machine.  The paper likewise runs one fixed schedule of
-    batched kernels and tunes no crossover per host.
-
-    Parameters
-    ----------
-    min_bucket:
-        Smallest bucket considered for packed execution; smaller buckets
-        execute as individual calls (a strided batch of one is just a
-        plain kernel).
-    gemm_pack_max_elements:
-        Largest per-block operand (entry count) that is packed into
-        strided 3-D storage for a single broadcast ``matmul``.  Above this
-        the pack copy costs more than the per-call overhead it saves and
-        the bucket runs as a tight loop (measured crossover ~48x48 blocks
-        on OpenBLAS).
-    lu_factor_max_n / lu_factor_min_batch:
-        Use the vectorised batched elimination for a factorization bucket
-        only when the blocks are at most ``lu_factor_max_n`` wide and the
-        bucket has at least ``lu_factor_min_batch`` problems; otherwise
-        blocked per-problem LAPACK wins (the Python-level elimination
-        costs O(n) interpreter steps and rank-1 updates instead of BLAS-3).
-    lu_solve_max_n / lu_solve_min_batch_ratio:
-        Use the vectorised batched substitution for a solve bucket when
-        ``n <= lu_solve_max_n`` and ``batch >= ratio * n`` (substitution
-        vectorises better than elimination: each of the O(n) steps is one
-        batched matmul).
-    """
-
-    min_bucket: int = 2
-    gemm_pack_max_elements: int = 2048
-    lu_factor_max_n: int = 12
-    lu_factor_min_batch: int = 24
-    lu_solve_max_n: int = 48
-    lu_solve_min_batch_ratio: float = 4.0
-
-    def __new__(cls, *args, **kwargs):
-        valid = [f.name for f in fields(cls)]
-        unknown = sorted(set(kwargs) - set(valid))
-        if unknown:
-            raise TypeError(f"unknown DispatchPolicy fields {unknown}; valid fields: {valid}")
-        return super().__new__(cls)
-
-    def replace(self, **changes) -> "DispatchPolicy":
-        """A copy with the given tunables replaced (the policy is frozen)."""
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
-
-    def pack_gemm_bucket(self, nblocks: int, a_elements: int, b_elements: int) -> bool:
-        """Should a gemm bucket be packed into strided storage?"""
-        return (
-            nblocks >= self.min_bucket
-            and max(a_elements, b_elements) <= self.gemm_pack_max_elements
-        )
-
-    def vectorize_lu_factor(self, nblocks: int, n: int) -> bool:
-        """Should a factorization bucket use the vectorised batched LU?"""
-        return (
-            nblocks >= max(self.min_bucket, self.lu_factor_min_batch)
-            and n <= self.lu_factor_max_n
-        )
-
-    def vectorize_lu_solve(self, nblocks: int, n: int) -> bool:
-        """Should a solve bucket use the vectorised batched substitution?"""
-        return (
-            nblocks >= self.min_bucket
-            and n <= self.lu_solve_max_n
-            and nblocks >= self.lu_solve_min_batch_ratio * max(n, 1)
-        )
+#: smallest gemm bucket executed packed; a strided batch of one is a plain
+#: kernel
+MIN_BUCKET = 2
+#: largest per-block gemm operand (entry count) packed into strided storage
+#: for one broadcast ``matmul``; above it the pack copy costs more than the
+#: per-call overhead it saves (measured crossover ~48x48 on OpenBLAS)
+GEMM_PACK_MAX_ELEMENTS = 2048
+#: the vectorised batched elimination factorizes a bucket only for blocks at
+#: most this wide and buckets at least this large; otherwise blocked
+#: per-problem LAPACK wins (the elimination costs O(n) interpreter steps of
+#: rank-1 updates instead of BLAS-3)
+LU_FACTOR_MAX_N = 12
+LU_FACTOR_MIN_BATCH = 24
+#: the vectorised substitution solves a bucket when ``n <= LU_SOLVE_MAX_N``
+#: and ``batch >= LU_SOLVE_MIN_BATCH_RATIO * n`` (substitution vectorises
+#: better than elimination: each of its O(n) steps is one batched matmul)
+LU_SOLVE_MAX_N = 48
+LU_SOLVE_MIN_BATCH_RATIO = 4.0
 
 
-#: default policy used by the batched primitives
-DEFAULT_POLICY = DispatchPolicy()
+def pack_gemm_bucket(nblocks: int, a_elements: int, b_elements: int) -> bool:
+    """Should a gemm bucket be packed into strided storage?"""
+    return nblocks >= MIN_BUCKET and max(a_elements, b_elements) <= GEMM_PACK_MAX_ELEMENTS
+
+
+def vectorize_lu_factor(nblocks: int, n: int) -> bool:
+    """Should a factorization bucket use the vectorised batched LU?"""
+    return nblocks >= LU_FACTOR_MIN_BATCH and n <= LU_FACTOR_MAX_N
+
+
+def vectorize_lu_solve(nblocks: int, n: int) -> bool:
+    """Should a solve bucket use the vectorised batched substitution?"""
+    return n <= LU_SOLVE_MAX_N and nblocks >= LU_SOLVE_MIN_BATCH_RATIO * max(n, 1)
+
 
 # ======================================================================
 # vectorised batched LU kernels (generic over the array module)

@@ -30,9 +30,7 @@ from .recursive import RecursiveFactorization
 
 def _recursive_variant(hodlr, solver):
     """``variant="recursive"``: the per-node recursion of section III-A."""
-    return RecursiveFactorization(
-        hodlr=hodlr, backend=solver.backend.array_backend
-    ).factorize()
+    return RecursiveFactorization(hodlr=hodlr, backend=solver.context.backend).factorize()
 
 
 def _dense_lu_variant(hodlr, solver):

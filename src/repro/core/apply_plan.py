@@ -50,7 +50,7 @@ import numpy as np
 from ..backends.batched import gemm_strided_batched
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.counters import KernelEvent, record_event
-from ..backends.dispatch import ArrayBackend, plan_batch
+from ..backends.dispatch import plan_batch
 from .packing import GatherScatter, demote_rhs_dtype, pack_stack
 
 
@@ -111,13 +111,8 @@ class _LowRankBucket:
 class ApplyPlan:
     """The compiled batched application schedule of one HODLR matrix."""
 
-    def __init__(
-        self,
-        hodlr,
-        backend: Optional[ArrayBackend] = None,
-        context: Optional[ExecutionContext] = None,
-    ) -> None:
-        self._context = resolve_context(context, backend)
+    def __init__(self, hodlr, context: Optional[ExecutionContext] = None) -> None:
+        self._context = resolve_context(context)
         xb = self._context.backend
         precision = self._context.precision
         tree = hodlr.tree

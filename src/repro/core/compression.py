@@ -30,11 +30,7 @@ from scipy import linalg as sla
 
 from ..backends.batched import gemm_strided_batched, qr_batched, svd_batched
 from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import (
-    ArrayBackend,
-    DispatchPolicy,
-    plan_batch,
-)
+from ..backends.dispatch import ArrayBackend, plan_batch
 from .low_rank import LowRankFactor, _truncation_count
 
 #: Evaluates a sub-block of the operator: ``entries(rows, cols) -> ndarray``.
@@ -481,8 +477,6 @@ def _randomized_stack(
 def compress_block_stack(
     stack: np.ndarray,
     config: CompressionConfig,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     rng: Optional[np.random.Generator] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
@@ -493,10 +487,10 @@ def compress_block_stack(
     unpacking.  ``rook`` runs the lockstep
     :func:`rook_pivot_compress_blocks` over the stack (the level-major
     builder calls it on kernel gathers instead, never materialising the
-    blocks).  ``context`` supersedes the legacy ``backend=``/``policy=``
-    pair; a device-resident context keeps the stack and factors there.
+    blocks).  A device-resident ``context`` keeps the stack and factors
+    there.
     """
-    ctx = resolve_context(context, backend, policy)
+    ctx = resolve_context(context)
     xb = ctx.backend
     stack = xb.asarray(stack)
     if stack.ndim != 3:
@@ -524,8 +518,6 @@ def compress_block_stack(
 def compress_blocks_batched(
     blocks: Sequence[np.ndarray],
     config: CompressionConfig,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Compress a list of dense blocks per ``config``, batched per shape bucket.
@@ -534,7 +526,7 @@ def compress_blocks_batched(
     by :func:`compress_block_stack` (ranks may differ per block); the
     randomized path draws every bucket's test matrices from one generator.
     """
-    ctx = resolve_context(context, backend, policy)
+    ctx = resolve_context(context)
     rng = config.generator()
     results: List[Optional[LowRankFactor]] = [None] * len(blocks)
     for bucket in plan_batch([np.shape(b) for b in blocks]).buckets:
@@ -548,13 +540,11 @@ def svd_compress_batched(
     blocks: Sequence[np.ndarray],
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Truncated-SVD compression of many dense blocks, one batched SVD per shape."""
     config = CompressionConfig(tol=tol, max_rank=max_rank, method="svd")
-    return compress_blocks_batched(blocks, config, backend, policy, context)
+    return compress_blocks_batched(blocks, config, context=context)
 
 
 def randomized_compress_batched(
@@ -563,23 +553,19 @@ def randomized_compress_batched(
     max_rank: Optional[int] = None,
     oversampling: int = 10,
     rng: Optional[np.random.Generator] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Randomized compression of many dense blocks with shared test matrices."""
     config = CompressionConfig(
         tol=tol, max_rank=max_rank, method="randomized", oversampling=oversampling, rng=rng
     )
-    return compress_blocks_batched(blocks, config, backend, policy, context)
+    return compress_blocks_batched(blocks, config, context=context)
 
 
 def recompress_stack(
     factors: Sequence[LowRankFactor],
     tol: float = 1e-12,
     max_rank: Optional[int] = None,
-    backend: Optional[ArrayBackend] = None,
-    policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> List[LowRankFactor]:
     """Batched QR+SVD recompression of many :class:`LowRankFactor` objects.
@@ -594,7 +580,7 @@ def recompress_stack(
     streaming update/downdate engine sends its dirty concatenated factors
     through.
     """
-    ctx = resolve_context(context, backend, policy)
+    ctx = resolve_context(context)
     xb = ctx.backend
     if not factors:
         return []

@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.batched import gemm_strided_batched
+from ..backends.batched import gemm_strided_batched, getrf_stack, getrs_stack
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.counters import (
     KernelEvent,
@@ -85,32 +85,17 @@ def _is_complex(dtype) -> bool:
     return np.issubdtype(np.dtype(dtype), np.complexfloating)
 
 
-def _getrf_packed(xb, pol, A3, pivot: bool = True, level=None, nodes=()):
+def _getrf_packed(xb, A3, pivot: bool = True, level=None, nodes=()):
     """LU-factorize a packed ``(nb, n, n)`` stack: one planned launch.
 
-    The dispatch policy decides the host execution inside the launch —
-    vectorised batched elimination for many small blocks, per-problem
-    LAPACK otherwise.  Pivots are always returned full-length
-    (``arange`` rows for the non-pivoted path), so downstream code never
-    branches on pivot storage.
-
-    A zero or non-finite pivot (a singular block, or NaN input) raises
+    :func:`~repro.backends.batched.getrf_stack` executes the bucket.  A
+    zero or non-finite pivot (a singular block, or NaN input) raises
     :class:`numpy.linalg.LinAlgError` naming ``level`` and the rows of the
     offending member of ``nodes`` (the tree nodes the stack was packed
     from); one O(nb·n) pass over the factor diagonals checks it.
     """
     nb, n = A3.shape[0], A3.shape[1]
-    if pol.vectorize_lu_factor(nb, n):
-        lu3, piv3 = xb.lu_factor_batch(A3, pivot=pivot)
-        piv3 = np.asarray(piv3, dtype=np.int64)
-    else:
-        lu3 = xb.zeros(A3.shape, dtype=A3.dtype)
-        piv3 = np.zeros((nb, n), dtype=np.int64)
-        base = np.arange(n, dtype=np.int64)
-        for i in range(nb):
-            lu, piv = xb.lu_factor(A3[i], pivot=pivot)
-            lu3[i] = lu
-            piv3[i] = piv if (pivot and np.size(piv) == n) else base
+    lu3, piv3 = getrf_stack(xb, A3, pivot=pivot)
     diag = lu3.diagonal(axis1=1, axis2=2)
     ok = (np.isfinite(diag) & (diag != 0)).all(axis=1)
     if not bool(ok.all()):
@@ -135,30 +120,18 @@ def _getrf_packed(xb, pol, A3, pivot: bool = True, level=None, nodes=()):
     return lu3, piv3
 
 
-def _getrs_packed(xb, pol, lu3, piv3, rhs3, pivot: bool = True):
+def _getrs_packed(xb, lu3, piv3, rhs3, pivot: bool = True):
     """Solve a packed ``(nb, n, nrhs)`` right-hand-side stack: one launch."""
     nb, n, nrhs = rhs3.shape
-    out_dtype = np.result_type(lu3.dtype, rhs3.dtype)
-    if rhs3.dtype != out_dtype:
-        rhs3 = rhs3.astype(out_dtype)
-    if pol.vectorize_lu_solve(nb, n):
-        x3 = xb.lu_solve_batch(lu3, piv3, rhs3, pivot=pivot)
-    else:
-        many = getattr(xb, "lu_solve_many", None)
-        if many is not None:
-            x3 = many(lu3, piv3, rhs3, pivot=pivot)
-        else:
-            x3 = xb.zeros(rhs3.shape, dtype=out_dtype)
-            for i in range(nb):
-                x3[i] = xb.lu_solve(lu3[i], piv3[i], rhs3[i], pivot=pivot)
+    x3 = getrs_stack(xb, lu3, piv3, rhs3, pivot=pivot)
     record_event(
         KernelEvent(
             kernel="getrs_batched",
             batch=nb,
             shape=(n, nrhs, 0),
-            flops=nb * getrs_flops(n, nrhs, _is_complex(out_dtype)),
-            bytes_moved=float(lu3.nbytes + 2 * rhs3.nbytes),
-            dtype_size=np.dtype(out_dtype).itemsize,
+            flops=nb * getrs_flops(n, nrhs, _is_complex(x3.dtype)),
+            bytes_moved=float(lu3.nbytes + 2 * x3.nbytes),
+            dtype_size=np.dtype(x3.dtype).itemsize,
             strided=True,
             buckets=1,
             plan=True,
@@ -460,7 +433,7 @@ class SolvePlan:
         """
         plan = self.plan
         ctx = plan.context
-        xb, pol = ctx.backend, ctx.policy
+        xb = ctx.backend
         b = xb.asarray(b)
         if b.ndim > 2:
             raise ValueError(
@@ -484,7 +457,7 @@ class SolvePlan:
             bd = np.result_type(lb.lu3.dtype, demote_rhs_dtype(lb.lu3.dtype, out_dtype))
             if rhs3.dtype != bd:
                 rhs3 = rhs3.astype(bd)
-            sol3 = _getrs_packed(xb, pol, lb.lu3, lb.piv3, rhs3, pivot=True)
+            sol3 = _getrs_packed(xb, lb.lu3, lb.piv3, rhs3, pivot=True)
             lb.gs.put(x, sol3)
 
         # backward sweep: deepest level first
@@ -503,7 +476,7 @@ class SolvePlan:
                     bk.Vh3, xg, backend=xb, plan=True
                 )
             K_rhs = _pair_rhs(w_all, ngamma, r, plan.pivot)
-            W = _getrs_packed(xb, pol, sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot)
+            W = _getrs_packed(xb, sw.k_lu3, sw.k_piv3, K_rhs, pivot=plan.pivot)
             W_half = W.reshape(sw.nchild, r, x.shape[1])
             for bk in sw.buckets:
                 upd = gemm_strided_batched(
@@ -557,7 +530,7 @@ def build_factor_plan(
     recording and transfer accounting.
     """
     ctx = resolve_context(context)
-    xb, pol = ctx.backend, ctx.policy
+    xb = ctx.backend
     tree = data.tree
     dtype = np.dtype(data.dtype)
     rec = get_recorder()
@@ -574,9 +547,9 @@ def build_factor_plan(
             gs = GatherScatter.from_ranges(
                 [(leaf.start, leaf.stop) for leaf in members], M
             )
-            lu3, piv3 = _getrf_packed(xb, pol, D3, pivot=True, level=tree.levels, nodes=members)
+            lu3, piv3 = _getrf_packed(xb, D3, pivot=True, level=tree.levels, nodes=members)
             if Ybig.shape[1]:
-                sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Ybig), pivot=True)
+                sol3 = _getrs_packed(xb, lu3, piv3, gs.take(Ybig), pivot=True)
                 gs.put(Ybig, sol3)
             leaf_buckets.append(
                 _LeafBucket(positions=bucket.indices, gs=gs, lu3=lu3, piv3=piv3)
@@ -617,7 +590,7 @@ def build_factor_plan(
 
             # lines 7-8: assemble and LU-factorize the K systems
             K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-            k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot, level=level, nodes=gammas)
+            k_lu3, k_piv3 = _getrf_packed(xb, K3, pivot=pivot, level=level, nodes=gammas)
             sweeps.append(
                 _LevelSweep(
                     level=level,
@@ -639,7 +612,7 @@ def build_factor_plan(
                         bk.Vh3, bk.gs.take(Ycsub), backend=xb
                     )
                 K_rhs = _pair_rhs(w_all, len(gammas), r, pivot)
-                W = _getrs_packed(xb, pol, k_lu3, k_piv3, K_rhs, pivot=pivot)
+                W = _getrs_packed(xb, k_lu3, k_piv3, K_rhs, pivot=pivot)
                 W_half = W.reshape(nchild, r, ncoarse)
                 for bk in buckets:
                     upd = gemm_strided_batched(bk.Y3, W_half[bk.pos], backend=xb)
@@ -733,7 +706,7 @@ def patch_factor_plan(
     from .update import PatchUnsupportedError
 
     ctx = plan.context if context is None else resolve_context(context)
-    xb, pol = ctx.backend, ctx.policy
+    xb = ctx.backend
     new_tree = hodlr.tree
     old_tree = plan.tree
     if new_tree.levels != old_tree.levels:
@@ -840,13 +813,13 @@ def patch_factor_plan(
             mem = [leaves[i] for i in sel]
             M = b.key[0]
             D3d = pack_stack(xb, [xb.asarray(data.Dbig[lf.index]) for lf in mem], dtype)
-            lud3, pivd3 = _getrf_packed(xb, pol, D3d, pivot=True, level=L, nodes=mem)
+            lud3, pivd3 = _getrf_packed(xb, D3d, pivot=True, level=L, nodes=mem)
             gsd = GatherScatter.from_ranges(
                 [(lf.start, lf.stop) for lf in mem], M
             )
             if Ywork.shape[1]:
                 sol3 = _getrs_packed(
-                    xb, pol, lud3, pivd3, gsd.take(Ywork), pivot=True
+                    xb, lud3, pivd3, gsd.take(Ywork), pivot=True
                 )
                 gsd.put(Ywork, sol3)
             record_event(
@@ -894,7 +867,7 @@ def patch_factor_plan(
             )
             gs = GatherScatter.from_ranges([(lf.start, lf.stop) for lf in mem], M)
             Yc = Ywork[:, :cend]
-            sol3 = _getrs_packed(xb, pol, lu3, piv3, gs.take(Yc), pivot=True)
+            sol3 = _getrs_packed(xb, lu3, piv3, gs.take(Yc), pivot=True)
             gs.put(Yc, sol3)
 
     # ---- sweeps, bottom-up.  At each level: T only for dirty children, K
@@ -970,14 +943,14 @@ def patch_factor_plan(
                     K_sub = _assemble_k(
                         xb, T_all[cpos], int(d_gpos.size), r, dtype, pivot
                     )
-                    lu_s, piv_s = _getrf_packed(xb, pol, K_sub, pivot=pivot, level=level,
+                    lu_s, piv_s = _getrf_packed(xb, K_sub, pivot=pivot, level=level,
                                                 nodes=[gammas[g] for g in d_gpos])
                     k_lu3[d_gpos] = lu_s.astype(k_lu3.dtype, copy=False)
                     k_piv3[d_gpos] = piv_s
                     stats["k_refactored"] += int(d_gpos.size)
             else:
                 K3 = _assemble_k(xb, T_all, len(gammas), r, dtype, pivot)
-                k_lu3, k_piv3 = _getrf_packed(xb, pol, K3, pivot=pivot, level=level, nodes=gammas)
+                k_lu3, k_piv3 = _getrf_packed(xb, K3, pivot=pivot, level=level, nodes=gammas)
                 stats["k_refactored"] += len(gammas)
 
             # coarse-update replay: gammas grouped by the deepest dirty
@@ -1013,7 +986,7 @@ def patch_factor_plan(
                     packs.append((sel, gsb))
                 K_rhs = _pair_rhs(w_all, len(glist), r, pivot)
                 W = _getrs_packed(
-                    xb, pol, k_lu3[garr], k_piv3[garr], K_rhs, pivot=pivot
+                    xb, k_lu3[garr], k_piv3[garr], K_rhs, pivot=pivot
                 )
                 W_half = W.reshape(len(gchildren), r, cend)
                 Yc = Ywork[:, :cend]

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..backends.context import ExecutionContext, resolve_context
-from ..backends.dispatch import ArrayBackend, DispatchPolicy, plan_batch
+from ..backends.dispatch import plan_batch
 from .apply_plan import ApplyPlan
 from .cluster_tree import ClusterTree, TreeNode
 from .compression import (
@@ -124,7 +124,6 @@ class HODLRMatrix:
     # ------------------------------------------------------------------
     def build_apply_plan(
         self,
-        backend: Optional[ArrayBackend] = None,
         force: bool = False,
         context: Optional[ExecutionContext] = None,
     ) -> ApplyPlan:
@@ -148,7 +147,7 @@ class HODLRMatrix:
         ``plan="float32"`` compiles the half-traffic mixed-precision plan.
         """
         if self._apply_plan is None or force:
-            self._apply_plan = ApplyPlan(self, backend=backend, context=context)
+            self._apply_plan = ApplyPlan(self, context=context)
         return self._apply_plan
 
     def clear_apply_plan(self) -> None:
@@ -411,8 +410,6 @@ def build_hodlr(
     method: Optional[str] = None,
     max_rank: Optional[int] = None,
     dtype=None,
-    backend: Optional[ArrayBackend] = None,
-    dispatch_policy: Optional[DispatchPolicy] = None,
     context: Optional[ExecutionContext] = None,
 ) -> HODLRMatrix:
     """Build a HODLR approximation of ``source`` over ``tree``.
@@ -437,13 +434,11 @@ def build_hodlr(
         then filtered through the context's precision policy.
     context:
         The :class:`~repro.backends.context.ExecutionContext` the batched
-        construction runs on — backend, dispatch policy, and storage
-        precision in one object.  A device-resident context keeps the
-        gathered blocks and compressed bases on the device.  The legacy
-        ``backend=``/``dispatch_policy=`` pair is still accepted and is
-        folded into a context.
+        construction runs on — backend and storage precision in one
+        object.  A device-resident context keeps the gathered blocks and
+        compressed bases on the device.
     """
-    context = resolve_context(context, backend, dispatch_policy)
+    context = resolve_context(context)
     if config is None:
         config = CompressionConfig()
     if tol is not None or method is not None or max_rank is not None:

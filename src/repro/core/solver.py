@@ -45,14 +45,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.batched import BatchedBackend
 from ..backends.context import ExecutionContext, resolve_context
 from ..backends.counters import KernelTrace, get_recorder
-from ..backends.dispatch import ArrayBackend, DispatchPolicy
 from ..backends.perfmodel import ExecutionEstimate, PerformanceModel
 from .bigdata import BigMatrices
 from .factor_plan import FactorPlan, SolvePlan, build_factor_plan
@@ -141,18 +139,10 @@ class HODLRSolver:
         Partial pivoting in the reduced ``K`` systems; ``False`` selects the
         alternative formulation of section III-C (identities on the
         diagonal, no pivoting needed).
-    backend:
-        A :class:`~repro.backends.batched.BatchedBackend` instance, an
-        :class:`~repro.backends.dispatch.ArrayBackend` instance, or the
-        name of a registered array backend (``"numpy"``, ``"cupy"``).
-    dispatch_policy:
-        Shape-bucketing policy for the batched primitives; see
-        :class:`~repro.backends.dispatch.DispatchPolicy`.  ``None`` uses the
-        default crossovers.
     context:
-        An :class:`~repro.backends.context.ExecutionContext` carrying the
-        backend, dispatch policy, and precision in one object — the
-        preferred spelling, superseding ``backend=``/``dispatch_policy=``.
+        The :class:`~repro.backends.context.ExecutionContext` carrying the
+        array backend and the precision policy (``None`` = host NumPy at
+        natural precision).
     """
 
     def __init__(
@@ -161,8 +151,6 @@ class HODLRSolver:
         variant: str = "batched",
         dtype=None,
         pivot: bool = True,
-        backend: Optional[Union[str, ArrayBackend, BatchedBackend]] = None,
-        dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
     ) -> None:
         if variant not in _VARIANTS and variant not in _VARIANT_FACTORIES:
@@ -172,28 +160,7 @@ class HODLRSolver:
             )
         self.variant = variant
         self.pivot = pivot
-        if isinstance(backend, BatchedBackend):
-            if dispatch_policy is not None:
-                # update the policy in place so subclasses (counting /
-                # fault-injecting test backends) keep their behaviour
-                backend.policy = dispatch_policy
-            if context is not None:
-                # the context is authoritative over the facade's *implicit*
-                # defaults (only an explicitly passed dispatch_policy= may
-                # override it); the facade instance is kept — test
-                # subclasses included — and synced to the resolved context
-                self.context = resolve_context(context, policy=dispatch_policy)
-                backend.array_backend = self.context.backend
-                backend.policy = self.context.policy
-            else:
-                self.context = resolve_context(
-                    None, backend.array_backend, backend.policy
-                )
-            self.backend = backend
-        else:
-            # a registered backend name, a bare ArrayBackend, a context, or None
-            self.context = resolve_context(context, backend, dispatch_policy)
-            self.backend = BatchedBackend(context=self.context)
+        self.context = resolve_context(context)
         # dtype=None means "hodlr is already at the target dtype" — the
         # context's precision.storage reaches here through from_config's
         # dtype argument, never implicitly
@@ -220,50 +187,26 @@ class HODLRSolver:
         hodlr: HODLRMatrix,
         config,
         dtype=_UNSET,
-        backend: Optional[Union[str, ArrayBackend]] = None,
-        dispatch_policy: Optional[DispatchPolicy] = None,
         context: Optional[ExecutionContext] = None,
     ) -> "HODLRSolver":
         """Construct from a :class:`repro.api.config.SolverConfig`.
 
         ``config`` is duck-typed (any object with ``variant``, ``pivot``,
-        ``numpy_dtype``, and either an
-        ``execution_context()`` method or ``backend``/``dispatch_policy``
-        attributes).  ``dtype`` overrides the config's dtype when given —
-        pass ``dtype=None`` explicitly if ``hodlr`` is already stored at the
-        target dtype to skip the cast.
-
-        ``backend``/``dispatch_policy`` override *only* the matching field
-        of the config's execution context; everything else the config
-        carries — in particular ``SolverConfig.precision`` — is preserved.
-        (Audited in PR 5: the context path used to have no override seam,
-        so callers combining an explicit dispatch policy with a
-        precision-carrying config silently lost one of the two.)
+        ``numpy_dtype`` and an ``execution_context()`` method).  ``dtype``
+        overrides the config's dtype when given — pass ``dtype=None``
+        explicitly if ``hodlr`` is already stored at the target dtype to
+        skip the cast.
 
         An explicit ``context=`` replaces the one the config would build —
         this is how :class:`~repro.api.operator.HODLROperator` hands its
         resolved context down.
         """
-        make_context = getattr(config, "execution_context", None)
-        kwargs: Dict[str, Any]
-        if context is not None:
-            kwargs = {"context": resolve_context(context, backend, dispatch_policy)}
-        elif callable(make_context):
-            ctx = resolve_context(make_context(), backend, dispatch_policy)
-            kwargs = {"context": ctx}
-        else:
-            kwargs = {
-                "backend": backend if backend is not None else config.backend,
-                "dispatch_policy": dispatch_policy
-                if dispatch_policy is not None
-                else config.dispatch_policy,
-            }
         return cls(
             hodlr,
             variant=config.variant,
             dtype=config.numpy_dtype if dtype is cls._UNSET else dtype,
             pivot=config.pivot,
-            **kwargs,
+            context=context if context is not None else config.execution_context(),
         )
 
     # ------------------------------------------------------------------
@@ -272,9 +215,7 @@ class HODLRSolver:
     def factorize(self) -> "HODLRSolver":
         t0 = time.perf_counter()  # repro-lint: ignore[RL004] -- SolveStats wall-clock reporting, not test timing
         if self.variant in _VARIANTS:
-            data = BigMatrices.from_hodlr(
-                self.hodlr, backend=self.backend.array_backend
-            )
+            data = BigMatrices.from_hodlr(self.hodlr, backend=self.context.backend)
             rec = get_recorder()
             with rec.recording() as trace:
                 # the HODLR data (D, U, V) is assembled on the host and
@@ -370,7 +311,7 @@ class HODLRSolver:
         if self._plan is None:
             x = self._impl.solve(b)
         else:
-            b = self.backend.array_backend.asarray(b)
+            b = self.context.backend.asarray(b)
             rec = get_recorder()
             with rec.recording() as trace:
                 rec.add_transfer(b.nbytes, "h2d")
@@ -404,7 +345,7 @@ class HODLRSolver:
         construction run on the context's backend) multiply the
         device-resident ``x`` directly — no host/device mixing either way.
         """
-        ab = self.backend.array_backend
+        ab = self.context.backend
         b_arr = ab.asarray(b)
         first_block = next(iter(self.hodlr.diag.values()))
         if type(first_block) is np.ndarray:

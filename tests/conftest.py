@@ -82,3 +82,33 @@ def complex_hodlr(complex_dense):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def lu_paths(monkeypatch):
+    """Count which side of the LU dispatch crossovers the NumPy backend runs.
+
+    Keys: ``factor_vectorised`` / ``factor_loop`` (per-problem LAPACK) and
+    ``solve_vectorised`` / ``solve_loop``, each the number of backend calls
+    made since the fixture was set up (``clear()`` it to restart).
+    """
+    from collections import Counter
+
+    from repro.backends.dispatch import NumpyBackend
+
+    counts = Counter()
+
+    def spy(name, key):
+        original = getattr(NumpyBackend, name)
+
+        def counted(self, *args, **kwargs):
+            counts[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumpyBackend, name, counted)
+
+    spy("lu_factor_batch", "factor_vectorised")
+    spy("lu_factor", "factor_loop")
+    spy("lu_solve_batch", "solve_vectorised")
+    spy("lu_solve_many", "solve_loop")
+    return counts

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import repro
-from repro import ClusterTree, HODLRSolver, build_hodlr
+from repro import ClusterTree, HODLRSolver, PrecisionPolicy, build_hodlr
 from repro.api import (
     AssembledProblem,
     CompressionConfig,
@@ -30,7 +30,6 @@ from repro.api import (
     register_problem,
     unregister_problem,
 )
-from repro.backends.dispatch import DispatchPolicy
 from conftest import hodlr_friendly_matrix, spd_kernel_matrix
 
 
@@ -122,7 +121,7 @@ class TestSolverConfig:
             dict(variant="dense"),
             dict(backend=""),
             dict(pivot=1),
-            dict(dispatch_policy="auto"),
+            dict(precision="auto"),
             dict(dtype="int32"),
             dict(dtype="not-a-dtype"),
         ],
@@ -141,13 +140,13 @@ class TestSolverConfig:
             variant="recursive",
             dtype="float32",
             pivot=False,
-            dispatch_policy=DispatchPolicy(lu_solve_max_n=16, min_bucket=3),
+            precision=PrecisionPolicy(plan="float32", plan_min_level=2),
             compression=CompressionConfig(tol=1e-5, method="svd"),
         )
         d = json.loads(json.dumps(cfg.to_dict()))
         restored = SolverConfig.from_dict(d)
         assert restored == cfg
-        assert restored.dispatch_policy == DispatchPolicy(lu_solve_max_n=16, min_bucket=3)
+        assert restored.precision == PrecisionPolicy(plan="float32", plan_min_level=2)
 
     def test_round_trip_defaults(self):
         cfg = SolverConfig()
@@ -160,18 +159,24 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match="stream_cutoff"):
             SolverConfig.from_dict(data)
 
-    def test_removed_dispatch_options_fail_loudly(self):
-        valid = r"valid fields: \['min_bucket'"
+    def test_removed_dispatch_options_fail_loudly(self, system):
+        # the dispatch crossovers are module constants and an
+        # ExecutionContext is the one way to choose where a solve runs: the
+        # removed spellings raise instead of being ignored
+        A, H, _ = system
         with pytest.raises(ConfigError, match=r"'flat'"):
             SolverConfig(variant="flat")
-        with pytest.raises(TypeError, match=valid):
-            DispatchPolicy(pad_buckets=True)
-        for key in ("bucketing", "lu_vectorize", "pad_buckets", "pad_max_waste"):
-            data = SolverConfig(dispatch_policy=DispatchPolicy()).to_dict()
-            assert key not in data["dispatch_policy"]
-            data["dispatch_policy"][key] = True
-            with pytest.raises(ConfigError, match=valid):
-                SolverConfig.from_dict(data)
+        data = SolverConfig().to_dict()
+        assert "dispatch_policy" not in data
+        data["dispatch_policy"] = {"min_bucket": 2}
+        with pytest.raises(ConfigError, match="dispatch_policy"):
+            SolverConfig.from_dict(data)
+        with pytest.raises(TypeError, match="dispatch_policy"):
+            HODLRSolver(H, dispatch_policy=None)
+        with pytest.raises(TypeError, match="backend"):
+            build_hodlr(A, H.tree, backend="numpy")
+        with pytest.raises(ImportError):
+            from repro import DispatchPolicy  # noqa: F401
 
     def test_from_dict_rejects_removed_parallel(self):
         # parallel, tuning and residual_budget were all SolverConfig fields

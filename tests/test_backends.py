@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    BatchedBackend,
     gemm_batched,
     gemm_strided_batched,
     getrf_batched,
@@ -18,6 +17,7 @@ from repro.backends.counters import (
     getrs_flops,
     get_recorder,
 )
+from repro.backends.dispatch import get_backend
 from repro.backends.device import CPU_XEON_6254_DUAL, GPU_V100, PCIE3_X16, DeviceSpec
 from repro.backends.perfmodel import PerformanceModel
 from repro.backends.streams import StreamPool
@@ -293,9 +293,11 @@ class TestPerformanceModel:
         assert getrs_flops(3, 2) == pytest.approx(36.0)
 
     def test_backend_facade(self, rng):
-        backend = BatchedBackend()
+        # the primitives take the array backend itself as backend=
+        xb = get_backend("numpy")
         A = [rng.standard_normal((3, 3))]
         B = [rng.standard_normal((3, 3))]
-        np.testing.assert_allclose(backend.gemm_batched(A, B)[0], A[0] @ B[0])
-        lu = backend.getrf_batched([np.eye(3)])
-        np.testing.assert_allclose(backend.getrs_batched(lu, [np.ones(3)])[0], np.ones(3))
+        np.testing.assert_allclose(gemm_batched(A, B, backend=xb)[0], A[0] @ B[0])
+        lu = getrf_batched([np.eye(3)], backend=xb)
+        x = getrs_batched(lu, [np.ones(3)], backend=xb)[0]
+        np.testing.assert_allclose(x, np.ones(3))

@@ -14,7 +14,6 @@ import pytest
 from repro.api import CompressionConfig as ApiCompressionConfig
 from repro.api import ConfigError, HODLROperator, SolverConfig
 from repro.backends.counters import get_recorder
-from repro.backends.dispatch import DEFAULT_POLICY, DispatchPolicy
 from repro.core import (
     ClusterTree,
     HODLRSolver,
@@ -182,7 +181,7 @@ class TestBatchedCompressors:
         rng = np.random.default_rng(2)
         blocks = self._blocks(rng, [(16, 16)] * 4, rank=3)
         cfg = CompressionConfig(tol=1e-12, method="svd")
-        batched = compress_blocks_batched(blocks, cfg, policy=DEFAULT_POLICY)
+        batched = compress_blocks_batched(blocks, cfg)
         looped = [svd_compress(blk, tol=1e-12) for blk in blocks]
         for fb, fl, blk in zip(batched, looped, blocks):
             scale = np.linalg.norm(blk)
@@ -457,27 +456,33 @@ class TestFlatBatchedLU:
     def test_policy_equivalence(self):
         rng = np.random.default_rng(0)
         A = smooth_matrix(256, rng)
-        tree = ClusterTree.balanced(256, leaf_size=16)  # small leaves: the
+        tree = ClusterTree.balanced(256, leaf_size=8)  # 32 leaves of 8: the
         # vectorised batched LU crossover actually engages
         H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
         b = rng.standard_normal(256)
-        x_def = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize().solve(b)
+        x_def = HODLRSolver(H).factorize().solve(b)
         x_loop = HODLRSolver(H, variant="recursive").factorize().solve(b)
         assert np.linalg.norm(x_def - x_loop) <= 1e-12 * np.linalg.norm(x_loop)
         assert np.linalg.norm(A @ x_def - b) <= 1e-8 * np.linalg.norm(b)
 
-    def test_flat_solver_respects_dispatch_policy(self):
+    def test_flat_solver_respects_dispatch_policy(self, lu_paths):
+        """The leaf LU follows the dispatch constants: 32 leaves of 8 take
+        the vectorised elimination and substitution, 4 leaves of 64 the
+        per-problem LAPACK loop, and both match the recursive reference."""
         rng = np.random.default_rng(1)
-        A = smooth_matrix(128, rng)
-        tree = ClusterTree.balanced(128, leaf_size=16)
-        H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
-        b = rng.standard_normal(128)
-        policy = DispatchPolicy(lu_factor_min_batch=2, lu_factor_max_n=4096)
-        s1 = HODLRSolver(H, dispatch_policy=policy).factorize()
-        s2 = HODLRSolver(H).factorize()
-        assert s1.factor_plan.context.policy is policy
-        assert s2.factor_plan.context.policy == DEFAULT_POLICY
-        assert np.linalg.norm(s1.solve(b) - s2.solve(b)) <= 1e-12 * np.linalg.norm(b)
+        A = smooth_matrix(256, rng)
+        b = rng.standard_normal(256)
+        for leaf, vectorised in ((8, True), (64, False)):
+            tree = ClusterTree.balanced(256, leaf_size=leaf)
+            H = build_hodlr(A, tree, config=CompressionConfig(tol=1e-12, method="svd"))
+            lu_paths.clear()
+            x = HODLRSolver(H).factorize().solve(b)
+            assert (lu_paths["factor_vectorised"] > 0) == vectorised
+            assert (lu_paths["solve_vectorised"] > 0) == vectorised
+            # the few reduced K systems of each level always loop
+            assert lu_paths["factor_loop"] > 0
+            ref = HODLRSolver(H, variant="recursive").factorize().solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_slogdet_unchanged(self):
         rng = np.random.default_rng(2)

@@ -144,6 +144,19 @@ class TestCheckBench:
         argv_bad = ["--current", str(bad), "--baseline", str(baseline)]
         assert check_bench.main(argv_bad) == 1
 
+    def test_bench_markdown_keeps_speedup_orientation(self, check_bench):
+        # a row whose measured side is slower (speedup < 1) must not render
+        # its two times swapped under "fast" / "slow" headings
+        payload = {"benchmarks": {
+            "gaussian_matvec_apply_loop": {"batched_s": 0.5504, "loop_s": 0.5051,
+                                           "speedup": 0.92},
+            "multi_rhs_solve": {"fused_s": 0.0614, "sequential_s": 0.5179,
+                                "speedup": 8.43},
+        }}
+        lines = check_bench.bench_markdown(payload).splitlines()
+        assert "| gaussian_matvec_apply_loop | batched | 0.5504 | loop | 0.5051 | 0.92x |" in lines
+        assert "| multi_rhs_solve | fused | 0.0614 | sequential | 0.5179 | 8.43x |" in lines
+
     def test_main_requires_counters_section(self, check_bench, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"benchmarks": {}}))

@@ -1,5 +1,5 @@
-"""Execution contexts: backend placement, precision policies, pad-to-bucket
-packing, baseline solver variants, and per-problem default configs (PR 4).
+"""Execution contexts: backend placement, precision policies, baseline
+solver variants, and per-problem default configs.
 
 The recording stub backend below is the proof required by the PR's
 acceptance criteria: a ``SolverConfig(backend="cupy")`` (with the stub
@@ -34,7 +34,6 @@ from repro.api import CompressionConfig, ConfigError, SolverConfig, get_problem
 from repro.backends import dispatch
 from repro.backends.context import DEFAULT_CONTEXT
 from repro.backends.dispatch import (
-    DispatchPolicy,
     NumpyBackend,
     _lu_factor_batch,
     _lu_solve_batch,
@@ -293,26 +292,17 @@ class TestContextBasics:
         ctx = ExecutionContext(backend="numpy")
         assert isinstance(ctx.backend, NumpyBackend)
         assert not ctx.device_resident
-        # the policy is a DispatchPolicy object; no string names one
+        # the dispatch crossovers are constants, not a context field
         with pytest.raises(TypeError):
             ExecutionContext(policy="auto")
 
-    def test_resolve_context_legacy_and_merge(self):
+    def test_resolve_context_given_or_default(self):
         assert resolve_context() is DEFAULT_CONTEXT
-        ctx = resolve_context(backend=NumpyBackend(), policy=DispatchPolicy(min_bucket=3))
-        assert ctx.policy.min_bucket == 3
-        # PR-5 precedence audit: explicit backend=/policy= override only the
-        # matching context field; everything else (the precision policy in
-        # particular) is preserved instead of raising or being dropped
         base = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
-        merged = resolve_context(
-            context=base, policy=DispatchPolicy(min_bucket=5)
-        )
-        assert merged.policy.min_bucket == 5
-        assert merged.precision.storage == "float32"
-        assert merged.backend is base.backend
-        # no overrides -> the context object itself comes back
+        assert resolve_context(base) is base
         assert resolve_context(context=base) is base
+        with pytest.raises(TypeError):
+            resolve_context(base, backend=NumpyBackend())
 
     def test_precision_policy_validation(self):
         with pytest.raises(ValueError):
@@ -333,12 +323,10 @@ class TestContextBasics:
     def test_solver_config_round_trip_with_precision(self):
         cfg = SolverConfig(
             precision=PrecisionPolicy(plan="float32", plan_min_level=2, refine=True),
-            dispatch_policy=DispatchPolicy(min_bucket=3, gemm_pack_max_elements=512),
         )
         restored = SolverConfig.from_dict(cfg.to_dict())
         assert restored == cfg
         assert restored.precision.refine is True
-        assert restored.dispatch_policy.gemm_pack_max_elements == 512
 
     def test_dtype_precision_conflict_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,22 +1,26 @@
 """Tests for the backend dispatch layer: shape-bucketed planning, the
-vectorised batched LU kernels, the ArrayBackend registry, and the threading
-of the dispatch through the batched primitives and the solver."""
+vectorised batched LU kernels, the ArrayBackend registry, and the dispatch
+constants as the batched primitives and the solver follow them.
+
+The crossovers are fixed constants, so each side of each one is reached
+through the inputs: bucket sizes and block widths on either side of
+``GEMM_PACK_MAX_ELEMENTS``, ``LU_FACTOR_MIN_BATCH`` / ``LU_FACTOR_MAX_N``
+and ``LU_SOLVE_MIN_BATCH_RATIO``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.backends.batched import (
-    BatchedBackend,
     gemm_batched,
     getrf_batched,
     getrs_batched,
 )
 from repro.backends.counters import gemm_flops, get_recorder
 from repro.backends.dispatch import (
-    DEFAULT_POLICY,
+    GEMM_PACK_MAX_ELEMENTS,
+    LU_FACTOR_MIN_BATCH,
     BackendUnavailableError,
-    BatchPlanner,
-    DispatchPolicy,
     NumpyBackend,
     available_backends,
     get_backend,
@@ -29,7 +33,7 @@ from repro.backends.dispatch import (
 class TestBatchPlanner:
     def test_mixed_shapes_grouped_into_buckets(self):
         keys = [(3, 5), (4, 4), (3, 5), (4, 4), (3, 5), (2, 2)]
-        plan = BatchPlanner().plan(keys)
+        plan = plan_batch(keys)
         assert plan.nbatch == 6
         assert plan.num_buckets == 3
         by_key = {b.key: b.indices for b in plan.buckets}
@@ -44,20 +48,19 @@ class TestBatchPlanner:
     def test_singleton_buckets(self):
         plan = plan_batch([(1,), (2,), (3,)])
         assert plan.num_buckets == 3
-        assert plan.max_bucket == 1
-        assert plan.packed_buckets(min_bucket=2) == []
+        assert all(len(b) == 1 for b in plan.buckets)
 
     def test_uniform_batch_is_one_bucket(self):
         plan = plan_batch([(8, 8)] * 10)
         assert plan.num_buckets == 1
         assert len(plan.buckets[0]) == 10
-        assert plan.packed_buckets() == list(plan.buckets)
+        assert plan.buckets[0].indices == tuple(range(10))
 
     def test_empty_batch(self):
         plan = plan_batch([])
         assert plan.nbatch == 0
         assert plan.num_buckets == 0
-        assert plan.max_bucket == 0
+        assert plan.buckets == ()
 
 
 class TestBackendRegistry:
@@ -110,7 +113,7 @@ class TestBucketedGemm:
             + [rng.standard_normal((2, 4)) for _ in range(3)]
             + [rng.standard_normal((9, 1))]
         )
-        bucketed = gemm_batched(A, B, policy=DEFAULT_POLICY)
+        bucketed = gemm_batched(A, B)
         for xb_out, a, b in zip(bucketed, A, B):
             np.testing.assert_allclose(xb_out, a @ b, rtol=1e-12, atol=1e-12)
 
@@ -164,32 +167,74 @@ class TestBucketedGemm:
         assert bucketed_trace.total_bytes == pytest.approx(nbytes)
 
 
-#: forces the vectorised batched LU kernels regardless of problem size, so
-#: the packed execution path is covered even on tiny test batches
-VECTORIZE_ALWAYS = DispatchPolicy(
-    lu_factor_max_n=4096,
-    lu_factor_min_batch=2,
-    lu_solve_max_n=4096,
-    lu_solve_min_batch_ratio=0.0,
-)
+    def test_gemm_crossover_sides(self, rng, monkeypatch):
+        """Small multi-block buckets run packed (one ``matmul`` each);
+        singleton buckets and blocks above ``GEMM_PACK_MAX_ELEMENTS`` run as
+        a per-problem loop inside their launch.  Both match NumPy."""
+        big = int(np.sqrt(GEMM_PACK_MAX_ELEMENTS)) + 2  # big*big entries > the constant
+        A = (
+            [rng.standard_normal((5, 7)) for _ in range(4)]
+            + [rng.standard_normal((big, big)) for _ in range(3)]
+            + [rng.standard_normal((9, 9))]
+        )
+        B = (
+            [rng.standard_normal((7, 3)) for _ in range(4)]
+            + [rng.standard_normal((big, 2)) for _ in range(3)]
+            + [rng.standard_normal((9, 1))]
+        )
+        packed = []
+        original = NumpyBackend.matmul
+
+        def counted(self, a, b):
+            packed.append(a.shape)
+            return original(self, a, b)
+
+        monkeypatch.setattr(NumpyBackend, "matmul", counted)
+        rec = get_recorder()
+        with rec.recording() as trace:
+            out = gemm_batched(A, B)
+        assert packed == [(4, 5, 7)]  # only the small multi-block bucket packs
+        assert trace.events[0].buckets == 3  # still one launch per bucket
+        for o, a, b in zip(out, A, B):
+            np.testing.assert_allclose(o, a @ b, rtol=1e-12, atol=1e-12)
+
+
+#: which side of the LU dispatch constants a ``TestBucketedLU`` population
+#: lands on: ``count`` equal blocks below ``LU_FACTOR_MIN_BATCH`` run the
+#: per-problem LAPACK loop, at or above it (and at least
+#: ``LU_SOLVE_MIN_BATCH_RATIO * n`` for the solve) the vectorised batched
+#: elimination and substitution
+LOOP_SIDE = {"count": 5, "vectorised": False}
+VECTORISED_SIDE = {"count": 32, "vectorised": True}
+assert VECTORISED_SIDE["count"] >= LU_FACTOR_MIN_BATCH > LOOP_SIDE["count"]
+
+
+def _assert_side(lu_paths, policy):
+    assert (lu_paths["factor_vectorised"] > 0) == policy["vectorised"]
 
 
 class TestBucketedLU:
-    def _mixed_problems(self, rng, shift=6.0):
-        mats = [rng.standard_normal((6, 6)) + shift * np.eye(6) for _ in range(5)] + [
+    def _mixed_problems(self, rng, shift=6.0, count=5):
+        """``count`` blocks of 6 with two-column right-hand sides, plus a
+        3-block bucket of 4 with vector right-hand sides (always the loop
+        side)."""
+        mats = [rng.standard_normal((6, 6)) + shift * np.eye(6) for _ in range(count)] + [
             rng.standard_normal((4, 4)) + shift * np.eye(4) for _ in range(3)
         ]
-        rhs = [rng.standard_normal((6, 2)) for _ in range(5)] + [
+        rhs = [rng.standard_normal((6, 2)) for _ in range(count)] + [
             rng.standard_normal(4) for _ in range(3)
         ]
         return mats, rhs
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
-    def test_bucketed_matches_per_block_loop_to_1e12(self, rng, policy):
+    @pytest.mark.parametrize("policy", [LOOP_SIDE, VECTORISED_SIDE])
+    def test_bucketed_matches_per_block_loop_to_1e12(self, rng, policy, lu_paths):
         from scipy import linalg as sla
 
-        mats, rhs = self._mixed_problems(rng)
-        fast = getrs_batched(getrf_batched(mats, policy=policy), rhs, policy=policy)
+        mats, rhs = self._mixed_problems(rng, count=policy["count"])
+        fast = getrs_batched(getrf_batched(mats), rhs)
+        _assert_side(lu_paths, policy)
+        assert (lu_paths["solve_vectorised"] > 0) == policy["vectorised"]
+        assert lu_paths["factor_loop"] > 0 and lu_paths["solve_loop"] > 0
         slow = [sla.lu_solve(sla.lu_factor(A), b) for A, b in zip(mats, rhs)]
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -200,45 +245,54 @@ class TestBucketedLU:
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
-    def test_pivot_false_bucketed(self, rng, policy):
-        mats, rhs = self._mixed_problems(rng, shift=12.0)  # diagonally dominant
-        lu = getrf_batched(mats, pivot=False, policy=policy)
+    @pytest.mark.parametrize("policy", [LOOP_SIDE, VECTORISED_SIDE])
+    def test_pivot_false_bucketed(self, rng, policy, lu_paths):
+        # diagonally dominant
+        mats, rhs = self._mixed_problems(rng, shift=12.0, count=policy["count"])
+        lu = getrf_batched(mats, pivot=False)
         assert not lu.pivot
-        xs = getrs_batched(lu, rhs, policy=policy)
+        xs = getrs_batched(lu, rhs)
+        _assert_side(lu_paths, policy)
         ref = [np.linalg.solve(A, b) for A, b in zip(mats, rhs)]
         for a, b in zip(xs, ref):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
-    def test_pivot_false_zero_pivot_raises_in_bucket(self, policy):
+    @pytest.mark.parametrize("policy", [LOOP_SIDE, VECTORISED_SIDE])
+    def test_pivot_false_zero_pivot_raises_in_bucket(self, policy, lu_paths):
         singular_leading = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            getrf_batched([singular_leading, singular_leading], pivot=False, policy=policy)
+            getrf_batched([singular_leading] * policy["count"], pivot=False)
+        _assert_side(lu_paths, policy)
 
     def test_empty_batch(self):
         lu = getrf_batched([])
         assert len(lu) == 0
         assert getrs_batched(lu, []) == []
 
-    @pytest.mark.parametrize("policy", [DEFAULT_POLICY, VECTORIZE_ALWAYS])
-    def test_complex_bucketed(self, rng, policy):
+    @pytest.mark.parametrize("policy", [LOOP_SIDE, VECTORISED_SIDE])
+    def test_complex_bucketed(self, rng, policy, lu_paths):
         mats = [
             rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 5 * np.eye(5)
-            for _ in range(4)
+            for _ in range(policy["count"])
         ]
-        rhs = [rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)) for _ in range(4)]
-        xs = getrs_batched(getrf_batched(mats, policy=policy), rhs, policy=policy)
+        rhs = [
+            rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+            for _ in range(policy["count"])
+        ]
+        xs = getrs_batched(getrf_batched(mats), rhs)
+        _assert_side(lu_paths, policy)
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
 
-    def test_cross_policy_factors_interoperate(self, rng):
+    def test_cross_policy_factors_interoperate(self, rng, lu_paths):
         """Factors from the vectorised kernel plug into SciPy's per-block solve."""
         from scipy import linalg as sla
 
-        mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(4)]
-        rhs = [rng.standard_normal((6, 1)) for _ in range(4)]
-        lu_fast = getrf_batched(mats, policy=VECTORIZE_ALWAYS)  # vectorised bucket
+        count = VECTORISED_SIDE["count"]
+        mats = [rng.standard_normal((6, 6)) + 6 * np.eye(6) for _ in range(count)]
+        rhs = [rng.standard_normal((6, 1)) for _ in range(count)]
+        lu_fast = getrf_batched(mats)
+        _assert_side(lu_paths, VECTORISED_SIDE)
         xs = [sla.lu_solve((lu, piv), b) for lu, piv, b in zip(lu_fast.lu, lu_fast.piv, rhs)]
         for A, b, x in zip(mats, rhs, xs):
             np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-12)
@@ -255,9 +309,13 @@ class TestBucketedLU:
         assert getrf_event.buckets == 2 and getrf_event.strided
         assert getrs_event.buckets == 2 and getrs_event.strided
 
-    def test_logdet_from_vectorised_factors(self, rng):
-        mats = [rng.standard_normal((5, 5)) + 5 * np.eye(5) for _ in range(4)]
-        signs, logs = getrf_batched(mats, policy=VECTORIZE_ALWAYS).logdet()
+    def test_logdet_from_vectorised_factors(self, rng, lu_paths):
+        mats = [
+            rng.standard_normal((5, 5)) + 5 * np.eye(5)
+            for _ in range(VECTORISED_SIDE["count"])
+        ]
+        signs, logs = getrf_batched(mats).logdet()
+        _assert_side(lu_paths, VECTORISED_SIDE)
         for i, A in enumerate(mats):
             s_ref, l_ref = np.linalg.slogdet(A)
             assert np.real(signs[i]) * s_ref > 0
@@ -301,28 +359,31 @@ class TestSolverThreading:
 
     @pytest.mark.parametrize("variant", ["recursive", "batched"])
     def test_named_backend_accepted(self, small_hodlr, variant, rng):
-        from repro import HODLRSolver
+        from repro import ExecutionContext, HODLRSolver
 
         A, H = small_hodlr
-        solver = HODLRSolver(H, variant=variant, backend="numpy").factorize()
+        ctx = ExecutionContext(backend="numpy")
+        solver = HODLRSolver(H, variant=variant, context=ctx).factorize()
         b = rng.standard_normal(A.shape[0])
         x = solver.solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
 
-    def test_dispatch_policy_threaded_to_batched_variant(self, small_hodlr, rng):
-        from repro import HODLRSolver
+    def test_dispatch_policy_threaded_to_batched_variant(self, small_hodlr, rng, lu_paths):
+        """The compiled plan follows the LU dispatch constants through its
+        inputs: leaves of 9-10 (32-leaf tree) loop per problem, while 44
+        leaves of 5 (a 64-leaf tree of the same matrix) vectorise."""
+        from repro import ClusterTree, HODLRSolver, build_hodlr
 
         A, H = small_hodlr
+        H5 = build_hodlr(A, ClusterTree.balanced(300, leaf_size=5), tol=1e-11, method="svd")
         b = rng.standard_normal(A.shape[0])
-        fast = HODLRSolver(H, dispatch_policy=DEFAULT_POLICY).factorize()
-        forced = HODLRSolver(H, dispatch_policy=VECTORIZE_ALWAYS).factorize()
-        ref = HODLRSolver(H, variant="recursive").factorize().solve(b)
-        np.testing.assert_allclose(fast.solve(b), ref, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(forced.solve(b), ref, rtol=1e-10, atol=1e-10)
-        # both compile the plan, each under its own policy
-        assert fast.factor_plan.context.policy is DEFAULT_POLICY
-        assert forced.factor_plan.context.policy is VECTORIZE_ALWAYS
-        for solver in (fast, forced):
+        for hodlr, vectorised in ((H, False), (H5, True)):
+            lu_paths.clear()
+            solver = HODLRSolver(hodlr).factorize()
+            x = solver.solve(b)
+            assert (lu_paths["factor_vectorised"] > 0) == vectorised
+            ref = HODLRSolver(hodlr, variant="recursive").factorize().solve(b)
+            np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10)
             events = [e for e in solver.factor_trace.events if e.kernel == "getrf_batched"]
             assert events and all(e.strided for e in events)
 
@@ -333,14 +394,3 @@ class TestSolverThreading:
         solver = HODLRSolver(H).factorize()
         est = PerformanceModel().estimate(solver.factor_trace)
         assert est.num_kernel_launches >= est.num_launches
-
-    def test_batched_backend_policy_override(self, rng):
-        policy = DispatchPolicy(gemm_pack_max_elements=0)  # never pack a bucket
-        backend = BatchedBackend(policy=policy)
-        assert backend.policy is policy
-        rec = get_recorder()
-        with rec.recording() as trace:
-            out = backend.gemm_batched([np.eye(3)] * 3, [2 * np.eye(3)] * 3)
-        np.testing.assert_array_equal(out[0], 2 * np.eye(3))
-        assert trace.events[0].buckets == 1
-        assert backend.name == "numpy-batched"

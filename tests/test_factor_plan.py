@@ -10,10 +10,7 @@ Covers the acceptance criteria of the plan refactor:
   compiled plan's ``launches_per_solve`` (and every one is a plan replay);
 * float32 factor storage accuracy plus the refinement round-trip;
 * identity-bordered LU padding exactness (the packing the plan patch uses
-  for clean leaves of mixed sizes);
-* the ``resolve_context``/``from_config`` precedence regression (an
-  explicit ``dispatch_policy=`` must not be lost when the config carries a
-  ``precision`` policy).
+  for clean leaves of mixed sizes).
 """
 
 import numpy as np
@@ -24,7 +21,6 @@ from conftest import complex_test_matrix, hodlr_friendly_matrix
 
 from repro import (
     ClusterTree,
-    DispatchPolicy,
     ExecutionContext,
     HODLROperator,
     HODLRSolver,
@@ -36,12 +32,6 @@ from repro.backends.dispatch import NumpyBackend, pad_identity_stack, pad_pivot_
 from repro.baselines import RecursiveFactorization
 
 VARIANTS = ["recursive", "batched"]
-
-#: executes every bucket as a per-problem loop (no packed gemm, no
-#: vectorised LU) while keeping the one bucketed schedule
-LOOSE_POLICY = DispatchPolicy(
-    gemm_pack_max_elements=0, lu_factor_min_batch=10**9, lu_solve_max_n=0
-)
 
 
 def make_problem(n=256, leaf=32, tol=1e-12, seed=0, kind="real", method="svd",
@@ -132,19 +122,26 @@ class TestPlanEquivalence:
         assert np.linalg.norm(x_plan - x_ref) / np.linalg.norm(x_ref) < 1e-12
         assert np.linalg.norm(A @ x_plan - b) / np.linalg.norm(b) < 1e-9
 
-    def test_loop_policy_still_compiles_plan(self, rng):
-        """A policy that runs every bucket as a per-problem loop only changes
-        how each packed launch executes: the solver still compiles the plan
-        and every solve replays it."""
-        A, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(policy=LOOSE_POLICY)
-        solver = HODLRSolver(H, context=ctx).factorize()
-        assert solver.solve_plan is not None
-        b = rng.standard_normal(A.shape[0])
-        x = solver.solve(b)
-        trace = solver.last_solve_trace
-        assert trace.num_plan_launches == solver.solve_plan.launches_per_solve
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
+    def test_loop_policy_still_compiles_plan(self, rng, lu_paths):
+        """Which side of the LU dispatch constants a bucket lands on only
+        changes how each packed launch executes: with leaves of 64 every LU
+        bucket loops per problem, with 32 leaves of 8 the leaf buckets
+        vectorise, and either way the solver compiles the plan, every solve
+        replays it, and the answer matches the recursive reference."""
+        for leaf, vectorised in ((64, False), (8, True)):
+            A, H = make_problem(n=256, leaf=leaf)
+            lu_paths.clear()
+            solver = HODLRSolver(H).factorize()
+            assert solver.solve_plan is not None
+            b = rng.standard_normal(A.shape[0])
+            x = solver.solve(b)
+            assert (lu_paths["factor_vectorised"] > 0) == vectorised
+            assert (lu_paths["solve_vectorised"] > 0) == vectorised
+            trace = solver.last_solve_trace
+            assert trace.num_plan_launches == solver.solve_plan.launches_per_solve
+            x_ref = other_engine_solve(H, "batched", b)
+            assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+            assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_slogdet_unchanged_by_plan(self, variant):
@@ -319,56 +316,14 @@ class TestPaddedLU:
 
 
 # ======================================================================
-# precedence regression: explicit dispatch_policy + SolverConfig.precision
+# precedence: SolverConfig.precision reaches the solver's context
 # ======================================================================
 class TestPrecedenceRegression:
-    def test_from_config_explicit_policy_keeps_precision(self):
-        _, H = make_problem(n=128, leaf=32)
-        cfg = SolverConfig(precision=PrecisionPolicy(factor="float32"))
-        solver = HODLRSolver.from_config(
-            H, cfg, dispatch_policy=DispatchPolicy(min_bucket=7)
-        )
-        # the explicit policy won ...
-        assert solver.context.policy.min_bucket == 7
-        # ... and the config's precision policy was NOT silently dropped
-        assert solver.context.precision.factor == "float32"
-        solver.factorize()
-        assert solver.factor_plan.demoted
-
-    def test_constructor_context_plus_policy_merge(self):
-        _, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(precision=PrecisionPolicy(storage="float32"))
-        solver = HODLRSolver(H, dispatch_policy=LOOSE_POLICY, context=ctx)
-        assert solver.context.policy is LOOSE_POLICY
-        assert solver.context.precision.storage == "float32"
-
-    def test_batched_backend_facade_does_not_clobber_context(self, rng):
-        """A default-constructed BatchedBackend's implicit policy must not
-        override an explicit context (only dispatch_policy= may)."""
-        from repro import BatchedBackend
-
-        A, H = make_problem(n=128, leaf=32)
-        ctx = ExecutionContext(policy=LOOSE_POLICY)
-        solver = HODLRSolver(H, backend=BatchedBackend(), context=ctx).factorize()
-        assert solver.context.policy is LOOSE_POLICY
-        # the plan was compiled under the context's policy
-        assert solver.factor_plan.context.policy is ctx.policy
-        b = rng.standard_normal(128)
-        x = solver.solve(b)
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-9
-        # an explicit dispatch_policy= still wins over the context
-        solver2 = HODLRSolver(
-            H, backend=BatchedBackend(), context=ctx,
-            dispatch_policy=DispatchPolicy(min_bucket=9),
-        )
-        assert solver2.context.policy.min_bucket == 9
-
     def test_from_config_without_overrides_unchanged(self):
         _, H = make_problem(n=128, leaf=32)
-        cfg = SolverConfig(
-            dispatch_policy=DispatchPolicy(min_bucket=5),
-            precision=PrecisionPolicy(factor="float32"),
-        )
+        cfg = SolverConfig(precision=PrecisionPolicy(factor="float32"))
         solver = HODLRSolver.from_config(H, cfg)
-        assert solver.context.policy.min_bucket == 5
         assert solver.context.precision.factor == "float32"
+        # an explicit context= replaces the one the config would build
+        ctx = ExecutionContext()
+        assert HODLRSolver.from_config(H, cfg, context=ctx).context is ctx
